@@ -42,7 +42,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 5*time.Minute, "time limit")
 		gap        = flag.Float64("gap", 0, "relative MIP gap (0 = prove optimality)")
 		maxIter    = flag.Int("iters", 200000, "simplex iteration limit per LP")
-		workers    = flag.Int("workers", 0, "parallel branch-and-bound workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "parallel branch-and-bound workers (0 = 1, serial and deterministic)")
 		presolve   = flag.Bool("presolve", true, "reduce the problem (fixed/empty columns, empty/singleton rows) before solving and lift the solution back")
 		quiet      = flag.Bool("q", false, "print only status and objective")
 		traceOut   = flag.String("trace", "", "write a structured JSONL event trace to this file")

@@ -60,7 +60,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "instance seed")
 		scale      = flag.Int64("scale", 0, "time scale in seconds (0 = Eq. 6)")
 		nodes      = flag.Int("nodes", 20000, "branch-and-bound node limit")
-		workers    = flag.Int("workers", 0, "parallel branch-and-bound workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "parallel branch-and-bound workers (0 = 1, serial and deterministic)")
 		timeLimit  = flag.Duration("timeout", 30*time.Second, "branch-and-bound time limit")
 		budget     = flag.Duration("solve-budget", 0, "per-attempt budget of the retry ladder (0 = -timeout)")
 		retries    = flag.Int("solve-retries", 0, "extra retry-ladder attempts under a coarser grid")

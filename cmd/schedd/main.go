@@ -6,7 +6,7 @@
 // Usage:
 //
 //	schedd -addr 127.0.0.1:8080
-//	schedd -addr 127.0.0.1:0 -accel 1000 -max-batch 64 -max-batch-delay 20ms
+//	schedd -addr 127.0.0.1:0 -accel 1000 -max-batch 64
 //	schedd -ilp -solve-budget 2s -solve-retries 1 -trace schedd.jsonl
 //	schedd -rate 5 -burst 10 -queue-bound 512
 //	schedd -inject-faults 0.2 -inject-seed 7   # fault-injection drill
@@ -96,12 +96,11 @@ func main() {
 		policiesCS = flag.String("policies", "FCFS,SJF,LJF", "comma-separated policy list")
 		accel      = flag.Float64("accel", 1, "virtual seconds per wall second (1 = live time)")
 		queueBound = flag.Int("queue-bound", 256, "submit queue bound; a full queue answers 429")
-		maxBatch   = flag.Int("max-batch", 64, "max submissions coalesced into one replan (1 = replan per submission)")
-		batchDelay = flag.Duration("max-batch-delay", 10*time.Millisecond, "how long a replan waits for more arrivals after the first")
+		maxBatch   = flag.Int("max-batch", 64, "max queued submissions coalesced into one replan; batches form while the writer is busy (1 = replan per submission)")
 		rate       = flag.Float64("rate", 0, "per-source admission rate in submissions/s (0 = unlimited)")
 		burst      = flag.Int("burst", 4, "per-source burst size (with -rate)")
 		ilpDriven  = flag.Bool("ilp", false, "drive replans through the fault-tolerant ILP solve pipeline")
-		workers    = flag.Int("workers", 0, "parallel solve workers (0 = GOMAXPROCS; with -ilp)")
+		workers    = flag.Int("workers", 0, "parallel solve workers (0 = 1, deterministic; with -ilp)")
 		budget     = flag.Duration("solve-budget", 2*time.Second, "per-attempt solve budget of the retry ladder (with -ilp)")
 		retries    = flag.Int("solve-retries", 1, "extra retry-ladder attempts under a coarser grid (with -ilp)")
 		maxVars    = flag.Int("max-model-vars", 0, "refuse ILP models above this many variables (0 = unguarded; with -ilp)")
@@ -112,8 +111,6 @@ func main() {
 		wfqRate    = flag.Float64("wfq-rate", 0, "aggregate admission rate shared across sources by weighted fair queueing (0 = off; replaces -rate's flat per-source buckets)")
 		wfqBurst   = flag.Int("wfq-burst", 4, "WFQ burst tolerance in weight-1 admission units (with -wfq-rate)")
 		wfqWeights = flag.String("wfq-weights", "", "comma-separated source=weight pairs for WFQ shares, e.g. batch=1,interactive=4 (with -wfq-rate)")
-		adaptBatch = flag.Bool("adaptive-batch", false, "size the batching delay from the observed arrival rate instead of the fixed -max-batch-delay")
-		batchSetpt = flag.Float64("batch-setpoint", 0.5, "target batch occupancy as a fraction of -max-batch (with -adaptive-batch)")
 		sloMargin  = flag.Int64("slo-margin", 0, "safety headroom (virtual seconds) added to the twin's predicted start in deadline admission")
 		faultP     = flag.Float64("inject-faults", 0, "inject solve faults with this probability (with -ilp; testing)")
 		faultSeed  = flag.Uint64("inject-seed", 1, "fault-injection seed (with -inject-faults)")
@@ -226,14 +223,11 @@ func main() {
 				Clock:         schedd.NewWallClock(*accel),
 				QueueBound:    *queueBound,
 				MaxBatch:      *maxBatch,
-				MaxBatchDelay: *batchDelay,
 				RatePerSource: *rate / float64(*shards),
 				Burst:         *burst,
 				WFQRate:       *wfqRate / float64(*shards),
 				WFQBurst:      *wfqBurst,
 				WFQWeights:    weights,
-				AdaptiveBatch: *adaptBatch,
-				BatchSetpoint: *batchSetpt,
 				SLOMargin:     *sloMargin,
 				Trace:         tracer,
 				Metrics:       obs.NewRegistry(),
@@ -392,14 +386,11 @@ func main() {
 		Clock:         schedd.NewWallClock(*accel),
 		QueueBound:    *queueBound,
 		MaxBatch:      *maxBatch,
-		MaxBatchDelay: *batchDelay,
 		RatePerSource: *rate,
 		Burst:         *burst,
 		WFQRate:       *wfqRate,
 		WFQBurst:      *wfqBurst,
 		WFQWeights:    weights,
-		AdaptiveBatch: *adaptBatch,
-		BatchSetpoint: *batchSetpt,
 		SLOMargin:     *sloMargin,
 		Trace:         tracer,
 		Metrics:       reg,

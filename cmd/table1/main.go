@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxJobs = fs.Int("maxjobs", 25, "maximum waiting jobs for a comparison (0 = unlimited)")
 		nodes   = fs.Int("nodes", 2000, "branch-and-bound node limit per step")
 		timeout = fs.Duration("timeout", 20*time.Second, "branch-and-bound time limit per step")
-		workers = fs.Int("workers", 0, "branch-and-bound workers (0 = GOMAXPROCS, 1 = serial/deterministic)")
+		workers = fs.Int("workers", 0, "branch-and-bound workers (0 = 1, serial/deterministic)")
 		scale   = fs.Int64("scale", 0, "fixed time scale in seconds (0 = Eq. 6)")
 		jsonOut = fs.String("json", "", "also write the rows as JSON to this file")
 	)

@@ -32,18 +32,10 @@ type ServingConfig struct {
 	// Accel compresses trace time (default 100000: CTC's mean 369 s
 	// interarrival becomes ~3.7 ms of wall time).
 	Accel float64
-	// Batching sets MaxBatch 64 with a 5 ms coalescing delay; off means
-	// MaxBatch 1, one replan per submission.
+	// Batching sets MaxBatch 64 (self-clocked: each step coalesces what
+	// queued during the previous one); off means MaxBatch 1, one replan
+	// per submission.
 	Batching bool
-	// AdaptiveBatch sizes the coalescing delay from the observed arrival
-	// rate (schedd.Config.AdaptiveBatch) with MaxBatch 128 and a 2 s
-	// cap — the workload-adaptive mode the SLO legs run, where a few
-	// large interval steps stand in for the paper's per-interval solves
-	// and bound the denominator of the adoptions-per-replan-interval
-	// measurement. The long coalescing cap trades admission-to-plan
-	// latency for step sparsity; the twin's SLOMargin must absorb the
-	// extra virtual-time slip (cap x Accel) it introduces.
-	AdaptiveBatch bool
 	// FaultP, if > 0, drives replans through the ILP pipeline with
 	// injected solve faults at this probability (the degradation leg).
 	FaultP float64
@@ -151,12 +143,6 @@ func ServingBench(cfg ServingConfig) (*loadgen.Result, *schedd.Counters, error) 
 	}
 	if cfg.Batching {
 		scfg.MaxBatch = 64
-		scfg.MaxBatchDelay = 5 * time.Millisecond
-	}
-	if cfg.AdaptiveBatch {
-		scfg.MaxBatch = 128
-		scfg.MaxBatchDelay = 2 * time.Second
-		scfg.AdaptiveBatch = true
 	}
 	if cfg.Budget > 0 || cfg.Anytime {
 		scfg.ILP = &schedd.ILPConfig{
@@ -260,12 +246,6 @@ func shardedServingBench(cfg ServingConfig, tr *job.Trace, pols []policy.Policy,
 		}
 		if cfg.Batching {
 			scfg.MaxBatch = 64
-			scfg.MaxBatchDelay = 5 * time.Millisecond
-		}
-		if cfg.AdaptiveBatch {
-			scfg.MaxBatch = 128
-			scfg.MaxBatchDelay = 2 * time.Second
-			scfg.AdaptiveBatch = true
 		}
 		if cfg.FaultP > 0 {
 			inj := faultinject.New(faultinject.NewProbability(cfg.Seed+uint64(idx), cfg.FaultP))

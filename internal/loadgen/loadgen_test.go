@@ -71,7 +71,7 @@ func burstTrace(n, burstSize int, burstGap int64) *job.Trace {
 }
 
 func TestRunReplaysTraceAndMeasures(t *testing.T) {
-	srv, _ := startService(t, schedd.Config{MaxBatch: 64, MaxBatchDelay: 2 * time.Millisecond})
+	srv, _ := startService(t, schedd.Config{MaxBatch: 64})
 	res, err := Run(context.Background(), Config{
 		BaseURL: srv.URL,
 		Trace:   burstTrace(40, 8, 60),
@@ -111,7 +111,7 @@ func TestRunBatchingReducesReplans(t *testing.T) {
 		cfg  schedd.Config
 	}{
 		{"off", schedd.Config{MaxBatch: 1}},
-		{"on", schedd.Config{MaxBatch: 64, MaxBatchDelay: 5 * time.Millisecond}},
+		{"on", schedd.Config{MaxBatch: 64}},
 	} {
 		srv, _ := startService(t, tc.cfg)
 		res, err := Run(context.Background(), Config{

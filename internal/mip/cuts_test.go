@@ -2,6 +2,7 @@ package mip
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -120,7 +121,7 @@ func TestCutsPreserveOptimumProperty(t *testing.T) {
 		}
 		return math.Abs(a.Objective-b.Objective) <= 1e-6
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

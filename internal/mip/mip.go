@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -93,9 +92,10 @@ type Options struct {
 	// Workers-1.
 	MaxNodes int
 	// Workers is the number of concurrent branch-and-bound workers pulling
-	// nodes off the shared best-bound queue (0 defaults to
-	// runtime.GOMAXPROCS(0)). Workers=1 runs the serial solver, which
-	// reproduces the historical node order exactly. With more workers the
+	// nodes off the shared best-bound queue (0 defaults to 1, so parallel
+	// search is opt-in). Workers=1 runs the serial solver, which is
+	// deterministic and reproduces the historical node order exactly
+	// whatever GOMAXPROCS is. With more workers the
 	// exploration order (and therefore node counts and which of several
 	// equally-good incumbents wins) may vary run to run, but the returned
 	// objective and best-bound proof remain valid. When Workers > 1 the
@@ -165,7 +165,7 @@ func (o Options) withDefaults() Options {
 		o.MaxNodes = 1 << 30
 	}
 	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+		o.Workers = 1
 	}
 	if o.IntTol == 0 {
 		o.IntTol = 1e-6

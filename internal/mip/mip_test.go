@@ -2,6 +2,7 @@ package mip
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -305,7 +306,7 @@ func TestRandomBinaryProblemsMatchBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -351,7 +352,7 @@ func TestRandomIntegerProblemsMatchBruteForce(t *testing.T) {
 		rec(0, 0, 0)
 		return math.Abs(res.Objective-best) <= 1e-6
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -141,14 +141,13 @@ func TestAnytimeSLODrill(t *testing.T) {
 	sink := &planSink{machine: procs}
 	reg := obs.NewRegistry()
 	core, err := schedd.New(schedd.Config{
-		Machine:       procs,
-		Scheduler:     fcfsScheduler(t),
-		Clock:         schedd.NewWallClock(1000),
-		QueueBound:    256,
-		MaxBatch:      16,
-		MaxBatchDelay: 2 * time.Millisecond,
-		ReplanBuffer:  4096,
-		Events:        sink,
+		Machine:      procs,
+		Scheduler:    fcfsScheduler(t),
+		Clock:        schedd.NewWallClock(1000),
+		QueueBound:   256,
+		MaxBatch:     16,
+		ReplanBuffer: 4096,
+		Events:       sink,
 		// The virtual clock runs on during writer passes, so actual
 		// starts slip behind the twin's prediction by the accumulated
 		// processing latency; the margin absorbs that slip (at accel
@@ -282,13 +281,12 @@ func TestAnytimeAdoptionRace(t *testing.T) {
 	sink := &planSink{machine: procs}
 	reg := obs.NewRegistry()
 	core, err := schedd.New(schedd.Config{
-		Machine:       procs,
-		Scheduler:     fcfsScheduler(t),
-		Clock:         schedd.NewWallClock(20000),
-		QueueBound:    1024,
-		MaxBatch:      32,
-		MaxBatchDelay: time.Millisecond,
-		Events:        sink,
+		Machine:    procs,
+		Scheduler:  fcfsScheduler(t),
+		Clock:      schedd.NewWallClock(20000),
+		QueueBound: 1024,
+		MaxBatch:   32,
+		Events:     sink,
 		ILP: &schedd.ILPConfig{
 			// Starved steps (most fall back to the policy schedule, some
 			// fault outright) leave suboptimal plans behind on purpose:

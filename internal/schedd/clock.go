@@ -1,8 +1,8 @@
 // Clock abstraction of the scheduling service: the replan loop and the
 // API report times in virtual seconds (the trace time base of the rest
-// of the repository), while timers and batching delays run on the wall
-// clock. A WallClock with Accel > 1 compresses trace time so the same
-// service core serves live traffic (Accel 1) and accelerated replay.
+// of the repository), while timers run on the wall clock. A WallClock
+// with Accel > 1 compresses trace time so the same service core serves
+// live traffic (Accel 1) and accelerated replay.
 package schedd
 
 import (

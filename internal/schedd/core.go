@@ -11,9 +11,9 @@
 // published through an atomic pointer. Around that loop sit the serving
 // concerns the batch CLIs never needed:
 //
-//   - submission batching: a burst of arrivals is coalesced into ONE
-//     self-tuning step (bounded by MaxBatch and MaxBatchDelay) instead
-//     of replanning per job;
+//   - self-clocked submission batching: the writer plans each arrival
+//     as soon as it is free, coalescing whatever queued up during the
+//     previous step (bounded by MaxBatch) into ONE self-tuning step;
 //   - admission control: a bounded submit queue (ErrQueueFull maps to
 //     HTTP 429 + Retry-After) and per-source token-bucket rate limiting;
 //   - graceful drain: Stop finishes the in-flight replan, plans every
@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -256,13 +255,11 @@ type Config struct {
 	// QueueBound caps the submit queue (default 256). A full queue
 	// rejects with ErrQueueFull.
 	QueueBound int
-	// MaxBatch caps how many arrivals one self-tuning step coalesces
-	// (default 64). 1 replans per submission (batching off).
+	// MaxBatch caps how many already-queued arrivals one self-tuning
+	// step coalesces (default 64). 1 replans per submission (batching
+	// off). The writer never waits for stragglers: batches grow only
+	// while it is busy stepping.
 	MaxBatch int
-	// MaxBatchDelay is how long the writer waits for more arrivals
-	// after the first of a batch. Zero coalesces only submissions that
-	// are already queued (no added latency).
-	MaxBatchDelay time.Duration
 	// RatePerSource, if > 0, enforces a per-source token bucket of this
 	// many submissions per wall second with the given Burst (default 1).
 	RatePerSource float64
@@ -283,16 +280,6 @@ type Config struct {
 	// for unlisted sources): a weight-2 source gets twice the share
 	// under contention.
 	WFQWeights map[string]float64
-	// AdaptiveBatch sizes the batch-collection delay from the observed
-	// arrival rate instead of always waiting the full MaxBatchDelay:
-	// the writer waits just long enough for the expected batch
-	// occupancy to reach BatchSetpoint·MaxBatch, capped at
-	// MaxBatchDelay. Idle periods pay no added latency; bursts fill
-	// batches without stretching the wait.
-	AdaptiveBatch bool
-	// BatchSetpoint is the target batch occupancy as a fraction of
-	// MaxBatch (default 0.5).
-	BatchSetpoint float64
 	// SLOMargin is the safety headroom (virtual seconds) the digital
 	// twin adds to its predicted start before comparing it against a
 	// submission's deadline. The prediction is exact only at admission
@@ -474,12 +461,6 @@ type Core struct {
 	lastAnySeq  int64
 	anyDirty    bool
 
-	// Adaptive batching state (writer-owned): an EWMA of the wall-clock
-	// arrival rate, sampled from the accepted counter between batches.
-	arrRate      float64 // jobs per wall second
-	lastArrWall  time.Time
-	lastArrCount int64
-
 	// lastPlanWall is the wall-clock time of the last plan adoption
 	// (unix nanos, atomic: written by the writer, read by health and
 	// metrics handlers for the plan-age gauge).
@@ -507,7 +488,6 @@ type Core struct {
 	cAnyStale    *obs.Counter
 	cAnyRejected *obs.Counter
 	gPlanAge     *obs.Gauge
-	gBatchDelay  *obs.Gauge
 	hBatchSize   *obs.Histogram
 	hQueueDepth  *obs.Histogram
 	hPlanLatency *obs.Histogram
@@ -542,9 +522,6 @@ func New(cfg Config) (*Core, error) {
 	}
 	if cfg.SnapshotEvery < 1 {
 		cfg.SnapshotEvery = 1024
-	}
-	if cfg.BatchSetpoint <= 0 || cfg.BatchSetpoint > 1 {
-		cfg.BatchSetpoint = 0.5
 	}
 	c := &Core{
 		cfg:        cfg,
@@ -597,7 +574,6 @@ func New(cfg Config) (*Core, error) {
 		c.cAnyStale = reg.Counter("anytime.incumbents.stale")
 		c.cAnyRejected = reg.Counter("anytime.incumbents.rejected")
 		c.gPlanAge = reg.Gauge("schedd.plan.age.ms")
-		c.gBatchDelay = reg.Gauge("schedd.batch.delay.ms")
 		c.hBatchSize = reg.Histogram("schedd.batch.size", depthBounds)
 		c.hQueueDepth = reg.Histogram("schedd.queue_depth", depthBounds)
 		c.hPlanLatency = reg.Histogram("schedd.submit_to_plan_ms", latBounds)
@@ -979,75 +955,22 @@ func (c *Core) run() {
 		// completions — but not a pure anytime adoption, which must not
 		// restart the very solve that produced it), hand the background
 		// optimizer the fresh problem.
-		c.pushDirty()
+		if c.anyDirty {
+			c.anyDirty = false
+			c.pushAnytime()
+		}
 	}
 }
 
-// pushDirty hands the background optimizer the current problem if queue
-// state changed since the last push. Called at the end of every writer
-// pass and after mid-coalescing advances, so incumbents found during a
-// long batching window are solved against live state, not the state
-// frozen at the window's start.
-func (c *Core) pushDirty() {
-	if c.anyDirty {
-		c.anyDirty = false
-		c.pushAnytime()
-	}
-}
-
-// collectBatch coalesces a burst of arrivals: it always drains what is
-// already queued (up to MaxBatch) and, with MaxBatchDelay > 0,
-// additionally waits up to that long for stragglers.
+// collectBatch is self-clocked batching: it takes the first
+// submission and drains whatever else is already queued (up to
+// MaxBatch) without waiting. Arrivals during the step that follows form
+// the next batch, so an idle service plans every arrival at once and a
+// busy one grows its batches by itself — the leader-led group commit
+// internal/wal uses for fsyncs.
 func (c *Core) collectBatch(first *submission) []*submission {
 	batch := []*submission{first}
-	max := c.cfg.MaxBatch
-	if max <= 1 {
-		return batch
-	}
-	if delay := c.batchDelay(); delay > 0 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		for len(batch) < max {
-			// While coalescing, the writer keeps serving the rest of the
-			// data plane: due starts and completions advance on time (the
-			// virtual clock does not pause for stragglers) and background
-			// incumbents are adopted as they stream in, so a long adaptive
-			// window is optimization time, not dead time. Without this, a
-			// multi-second coalescing cap would stall every virtual event
-			// behind it — the actual starts would slip past the twin's
-			// predictions by the full window and bust deadlines the
-			// admission gate had verified.
-			var evC <-chan time.Time
-			var evT *time.Timer
-			if next, ok := c.nextEventTime(); ok {
-				evT = time.NewTimer(c.clock.Until(next))
-				evC = evT.C
-			}
-			select {
-			case sub := <-c.submitCh:
-				batch = append(batch, sub)
-			case <-evC:
-				c.advance()
-				c.publish()
-				c.pushDirty()
-			case <-c.anyNudge:
-				if plan := c.adoptAnytime(); plan != nil {
-					c.publish()
-					c.emitPlanImproved(plan)
-				}
-			case <-t.C:
-				if evT != nil {
-					evT.Stop()
-				}
-				return batch
-			}
-			if evT != nil {
-				evT.Stop()
-			}
-		}
-		return batch
-	}
-	for len(batch) < max {
+	for len(batch) < c.cfg.MaxBatch {
 		select {
 		case sub := <-c.submitCh:
 			batch = append(batch, sub)
@@ -1056,43 +979,6 @@ func (c *Core) collectBatch(first *submission) []*submission {
 		}
 	}
 	return batch
-}
-
-// batchDelay returns how long this batch collection waits for
-// stragglers. Plain mode: the configured MaxBatchDelay. Adaptive mode:
-// just long enough for the observed arrival rate to fill the batch to
-// BatchSetpoint·MaxBatch, capped at MaxBatchDelay (default cap 250ms
-// when unset) — a burst fills the batch without stretching the wait,
-// and a quiet service pays almost no added latency.
-func (c *Core) batchDelay() time.Duration {
-	if !c.cfg.AdaptiveBatch {
-		return c.cfg.MaxBatchDelay
-	}
-	cap := c.cfg.MaxBatchDelay
-	if cap <= 0 {
-		cap = 250 * time.Millisecond
-	}
-	nowW := time.Now()
-	n := c.accepted.Load()
-	if !c.lastArrWall.IsZero() {
-		if dt := nowW.Sub(c.lastArrWall).Seconds(); dt > 0 {
-			inst := float64(n-c.lastArrCount) / dt
-			// EWMA with a ~2s time constant, gap-weighted so long idle
-			// stretches decay the rate instead of freezing it.
-			alpha := 1 - math.Exp(-dt/2.0)
-			c.arrRate += alpha * (inst - c.arrRate)
-		}
-	}
-	c.lastArrWall, c.lastArrCount = nowW, n
-	delay := cap
-	if c.arrRate > 0 {
-		target := c.cfg.BatchSetpoint * float64(c.cfg.MaxBatch)
-		if want := time.Duration(target / c.arrRate * float64(time.Second)); want < delay {
-			delay = want
-		}
-	}
-	c.gBatchDelay.Set(float64(delay) / float64(time.Millisecond))
-	return delay
 }
 
 // nextEventTime returns the earliest pending virtual event: a running

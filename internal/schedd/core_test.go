@@ -30,8 +30,10 @@ func newScheduler(t *testing.T) *dynp.Scheduler {
 	return s
 }
 
-// startCore builds and starts a core; the test is responsible for Stop.
-func startCore(t *testing.T, cfg Config) *Core {
+// newCore builds a stopped core that is stopped again at cleanup.
+// Submissions made before Start queue up without a writer draining
+// them, so a test can stage an exact backlog.
+func newCore(t *testing.T, cfg Config) *Core {
 	t.Helper()
 	if cfg.Machine == 0 {
 		cfg.Machine = 16
@@ -43,12 +45,19 @@ func startCore(t *testing.T, cfg Config) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		c.Stop(ctx)
 	})
+	return c
+}
+
+// startCore builds and starts a core; cleanup stops it.
+func startCore(t *testing.T, cfg Config) *Core {
+	t.Helper()
+	c := newCore(t, cfg)
+	c.Start()
 	return c
 }
 
@@ -130,49 +139,25 @@ func TestSubmitPlanAndQuery(t *testing.T) {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	// A frozen manual clock plus MaxBatchDelay keeps the writer busy
-	// long enough to overfill the bounded queue deterministically: the
-	// first submission occupies the writer for the whole batch delay,
-	// and the queue bound is hit behind it.
-	c := startCore(t, Config{
-		Machine:       8,
-		Clock:         NewManualClock(0),
-		QueueBound:    4,
-		MaxBatch:      1, // batch of one: the delay applies per step
-		MaxBatchDelay: 0,
-	})
-	// Saturate: the writer takes jobs one at a time; flood faster than
-	// it can drain. With MaxBatch 1 the writer still plans quickly, so
-	// use many submitters to guarantee overflow of a 4-slot queue.
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	accepted, full := 0, 0
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := c.Submit(SubmitRequest{Width: 1, Estimate: 10})
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				accepted++
-			case err == ErrQueueFull:
-				full++
-			default:
-				t.Errorf("unexpected submit error: %v", err)
-			}
-		}()
+	// With the writer not yet running nothing drains the queue, so the
+	// 4-slot bound is hit exactly at the fifth submission.
+	c := newCore(t, Config{Machine: 8, Clock: NewManualClock(0), QueueBound: 4})
+	for i := 0; i < 4; i++ {
+		if _, err := c.Submit(SubmitRequest{Width: 1, Estimate: 10}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
 	}
-	wg.Wait()
-	if accepted == 0 {
-		t.Fatal("no submission accepted")
+	if _, err := c.Submit(SubmitRequest{Width: 1, Estimate: 10}); err != ErrQueueFull {
+		t.Fatalf("fifth submit: err = %v, want ErrQueueFull", err)
 	}
-	if full == 0 {
-		t.Skip("queue never filled on this host (writer drained faster than 200 goroutines submitted)")
+	if d := c.QueueDepth(); d != 4 {
+		t.Errorf("queue depth = %d, want 4", d)
 	}
-	// Every accepted job must eventually be planned: none dropped.
-	waitPlanned(t, c, int64(accepted))
+	// Every accepted job is planned once the writer starts: none dropped.
+	c.Start()
+	if s := waitPlanned(t, c, 4); s.Counts.Submitted != 4 {
+		t.Errorf("submitted = %d, want 4", s.Counts.Submitted)
+	}
 }
 
 func TestRateLimiting(t *testing.T) {
@@ -209,32 +194,29 @@ func TestRateLimiting(t *testing.T) {
 }
 
 func TestBatchingReducesSteps(t *testing.T) {
-	run := func(maxBatch int, delay time.Duration) (steps, planned int64) {
-		reg := obs.NewRegistry()
-		c := startCore(t, Config{
-			Machine:       64,
-			Clock:         NewManualClock(0),
-			QueueBound:    512,
-			MaxBatch:      maxBatch,
-			MaxBatchDelay: delay,
-			Metrics:       reg,
+	// Self-clocked batching: a backlog that queued while the writer was
+	// busy (here: not yet started) becomes one step of up to MaxBatch.
+	const n = 60
+	run := func(maxBatch int) int64 {
+		c := newCore(t, Config{
+			Machine:    64,
+			Clock:      NewManualClock(0),
+			QueueBound: 512,
+			MaxBatch:   maxBatch,
 		})
-		const n = 60
 		for i := 0; i < n; i++ {
 			if _, err := c.Submit(SubmitRequest{Width: 1 + i%4, Estimate: 1000}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := waitPlanned(t, c, n)
-		return s.Counts.Steps, s.Counts.Planned
+		c.Start()
+		return waitPlanned(t, c, n).Counts.Steps
 	}
-	stepsOff, _ := run(1, 0)
-	stepsOn, _ := run(64, 20*time.Millisecond)
-	if stepsOff != 60 {
-		t.Errorf("batching off: %d steps, want one per submission (60)", stepsOff)
+	if steps := run(64); steps != 1 {
+		t.Errorf("MaxBatch 64: %d steps for %d queued submissions, want 1", steps, n)
 	}
-	if stepsOn >= stepsOff/2 {
-		t.Errorf("batching on: %d steps, want well below the %d of batching off", stepsOn, stepsOff)
+	if steps := run(1); steps != n {
+		t.Errorf("MaxBatch 1: %d steps, want one per submission (%d)", steps, n)
 	}
 }
 

@@ -47,13 +47,12 @@ func TestServingE2EWithFaults(t *testing.T) {
 	// schedule and be reported, never kill the service.
 	inj := faultinject.New(faultinject.NewProbability(7, 0.2))
 	core, err := schedd.New(schedd.Config{
-		Machine:       tr.Processors,
-		Scheduler:     sched,
-		Clock:         schedd.NewWallClock(50000),
-		QueueBound:    1024,
-		MaxBatch:      64,
-		MaxBatchDelay: 5 * time.Millisecond,
-		ReplanBuffer:  4096, // keep every replan of the run for the assertions below
+		Machine:      tr.Processors,
+		Scheduler:    sched,
+		Clock:        schedd.NewWallClock(50000),
+		QueueBound:   1024,
+		MaxBatch:     64,
+		ReplanBuffer: 4096, // keep every replan of the run for the assertions below
 		ILP: &schedd.ILPConfig{
 			Pipe: solvepipe.Config{
 				Budget: 500 * time.Millisecond,

@@ -118,11 +118,10 @@ func anytimeFactory(t testing.TB, accel float64) CoreFactory {
 			return schedd.Config{}, err
 		}
 		return schedd.Config{
-			Scheduler:     sched,
-			Clock:         schedd.NewWallClock(accel),
-			QueueBound:    64,
-			MaxBatch:      16,
-			MaxBatchDelay: time.Millisecond,
+			Scheduler:  sched,
+			Clock:      schedd.NewWallClock(accel),
+			QueueBound: 64,
+			MaxBatch:   16,
 			ILP: &schedd.ILPConfig{
 				Pipe: solvepipe.Config{
 					Budget: time.Millisecond,

@@ -99,11 +99,10 @@ func TestShardedServingE2EWithFaults(t *testing.T) {
 		}
 		injectors[idx] = faultinject.New(faultinject.NewProbability(uint64(11+idx), 0.2))
 		return schedd.Config{
-			Scheduler:     sched,
-			Clock:         schedd.NewWallClock(50000),
-			QueueBound:    1024,
-			MaxBatch:      64,
-			MaxBatchDelay: 5 * time.Millisecond,
+			Scheduler:  sched,
+			Clock:      schedd.NewWallClock(50000),
+			QueueBound: 1024,
+			MaxBatch:   64,
 			ILP: &schedd.ILPConfig{
 				Pipe: solvepipe.Config{
 					Budget: 500 * time.Millisecond,
