@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -25,33 +26,43 @@ type History []Step
 // HistoryFromRunning derives the machine history at time now for a machine
 // with total processors and the given running jobs. Jobs whose End is <=
 // now are ignored. If more than one job ends at the same time a single
-// time stamp is emitted, as in the paper.
+// time stamp is emitted, as in the paper. The input is not modified; when
+// it is already ordered by End (as a simulator keeps its running jobs) it
+// is not copied either.
 func HistoryFromRunning(total int, now int64, running []Running) (History, error) {
-	busy := 0
-	ends := make(map[int64]int) // end time -> width released
-	for _, r := range running {
+	busy, sorted := 0, true
+	for i, r := range running {
 		if r.Width < 1 {
 			return nil, fmt.Errorf("machine: running job %d has width %d", r.JobID, r.Width)
+		}
+		if i > 0 && r.End < running[i-1].End {
+			sorted = false
 		}
 		if r.End <= now {
 			continue
 		}
 		busy += r.Width
-		ends[r.End] += r.Width
 	}
 	if busy > total {
 		return nil, fmt.Errorf("machine: running jobs occupy %d > %d processors", busy, total)
 	}
-	h := History{{Time: now, Free: total - busy}}
-	times := make([]int64, 0, len(ends))
-	for t := range ends {
-		times = append(times, t)
+	if !sorted {
+		running = slices.Clone(running)
+		slices.SortFunc(running, func(a, b Running) int { return cmp.Compare(a.End, b.End) })
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	free := total - busy
-	for _, t := range times {
-		free += ends[t]
-		h = append(h, Step{Time: t, Free: free})
+	h := make(History, 1, len(running)+1)
+	h[0] = Step{Time: now, Free: free}
+	for _, r := range running {
+		if r.End <= now {
+			continue
+		}
+		free += r.Width
+		if last := &h[len(h)-1]; last.Time == r.End {
+			last.Free = free
+		} else {
+			h = append(h, Step{Time: r.End, Free: free})
+		}
 	}
 	return h, nil
 }

@@ -94,6 +94,16 @@ func (p *Profile) splitAt(t int64) int {
 	return i + 1
 }
 
+// mergeAt removes the boundary at index i if it separates two segments
+// with equal Free values. Reserve and Release shift a contiguous run of
+// segments by the same width, so on a normalized profile only the two
+// boundaries of that run can become redundant.
+func (p *Profile) mergeAt(i int) {
+	if i > 0 && i < len(p.steps) && p.steps[i].Free == p.steps[i-1].Free {
+		p.steps = append(p.steps[:i], p.steps[i+1:]...)
+	}
+}
+
 // normalize merges adjacent segments with equal Free values.
 func (p *Profile) normalize() {
 	out := p.steps[:1]
@@ -133,7 +143,8 @@ func (p *Profile) Reserve(start, end int64, width int) error {
 	for i := lo; i < hi; i++ {
 		p.steps[i].Free -= width
 	}
-	p.normalize()
+	p.mergeAt(hi) // hi first: merging there leaves lo in place
+	p.mergeAt(lo)
 	return nil
 }
 
@@ -164,7 +175,8 @@ func (p *Profile) Release(start, end int64, width int) error {
 	for i := lo; i < hi; i++ {
 		p.steps[i].Free += width
 	}
-	p.normalize()
+	p.mergeAt(hi) // hi first: merging there leaves lo in place
+	p.mergeAt(lo)
 	return nil
 }
 

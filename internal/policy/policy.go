@@ -10,7 +10,7 @@ package policy
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 	"repro/internal/machine"
@@ -134,8 +134,16 @@ func ByName(name string) (Policy, error) {
 //
 // It returns an error only if a job is wider than the machine.
 func Build(p Policy, now int64, base *machine.Profile, waiting []*job.Job) (*schedule.Schedule, error) {
-	ordered := append([]*job.Job(nil), waiting...)
-	sort.Slice(ordered, func(i, j int) bool { return p.Less(ordered[i], ordered[j]) })
+	ordered := slices.Clone(waiting)
+	slices.SortFunc(ordered, func(a, b *job.Job) int {
+		switch {
+		case p.Less(a, b):
+			return -1
+		case p.Less(b, a):
+			return 1
+		}
+		return 0
+	})
 
 	prof := base.Clone()
 	s := &schedule.Schedule{Policy: p.Name(), Now: now, Machine: base.Total(),

@@ -10,9 +10,10 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dynp"
@@ -35,17 +36,19 @@ const (
 )
 
 type event struct {
-	time int64
-	kind eventKind
-	seq  int // FIFO tie-break for determinism
-	job  *job.Job
-	ver  int // plan version for evStart; stale starts are ignored
+	time  int64
+	kind  eventKind
+	seq   int // FIFO tie-break for determinism
+	job   *job.Job
+	start int64 // evEnd: the instant the job started
 }
 
+// eventQueue is a binary min-heap of submissions and completions ordered
+// by (time, kind, seq). Starts never enter it: the plan's head is the only
+// armed start event (see Simulator.next).
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].time != q[j].time {
 		return q[i].time < q[j].time
 	}
@@ -54,14 +57,41 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h.less(i, up) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 // CompletedJob records one finished job.
@@ -191,7 +221,8 @@ type Config struct {
 	// fault-tolerant solve pipeline (see ILPConfig). Nil preserves the
 	// paper's behaviour: the basic-policy schedule is always adopted.
 	ILP *ILPConfig
-	// MaxSteps aborts runaway simulations (0 = no limit).
+	// MaxSteps aborts runaway simulations after that many processed events
+	// (0 = no limit).
 	MaxSteps int
 	// ParallelSteps makes every self-tuning step evaluate its candidate
 	// policies concurrently (dynp.Scheduler.SetParallel). The simulated
@@ -320,10 +351,11 @@ type Simulator struct {
 	clock   int64
 	queue   eventQueue
 	seq     int
-	waiting map[int]*job.Job
-	running map[int]*runningJob
-	plan    map[int]int64 // waiting job ID -> planned start
-	planVer int
+	waiting []*job.Job        // by ID
+	running []machine.Running // by (estimated End, JobID)
+	plan    []schedule.Entry  // planned starts of waiting jobs, by (Start, ID)
+
+	firstSubmit, lastEnd int64 // for Result.Makespan; firstSubmit < 0 until the first submission
 
 	result Result
 
@@ -339,17 +371,11 @@ type Simulator struct {
 	cReplans    *obs.Counter
 	cFallbacks  *obs.Counter   // mip.fallbacks: ILP steps degraded to policy
 	hQueueDepth *obs.Histogram // waiting-queue length per self-tuning step
-	hEventDepth *obs.Histogram // event-loop (heap) depth per event
+	hEventDepth *obs.Histogram // live events (queue + armed start) per event
 	// Labeled families of the ILP-driven path (bounded cardinality: the
 	// label values are fixed outcome/failure-kind vocabularies).
 	vStepOut  *obs.CounterVec // sim.step.outcome{outcome}: ok|cache_hit|fallback
 	vFallback *obs.CounterVec // sim.fallback.by_cause{cause}: failure kind
-}
-
-type runningJob struct {
-	job          *job.Job
-	start        int64
-	estimatedEnd int64
 }
 
 // New creates a simulator for the trace. The scheduler is used for every
@@ -383,12 +409,10 @@ func New(t *job.Trace, s *dynp.Scheduler, cfg Config) (*Simulator, error) {
 		}
 	}
 	sim := &Simulator{
-		cfg:       cfg,
-		scheduler: s,
-		total:     total,
-		waiting:   map[int]*job.Job{},
-		running:   map[int]*runningJob{},
-		plan:      map[int]int64{},
+		cfg:         cfg,
+		scheduler:   s,
+		total:       total,
+		firstSubmit: -1,
 	}
 	sim.result.PolicyUse = map[string]int{}
 	if cfg.ILP != nil && !cfg.ILP.StepCacheOff && cfg.ILP.Pipe.Cache == nil {
@@ -422,18 +446,46 @@ func New(t *job.Trace, s *dynp.Scheduler, cfg Config) (*Simulator, error) {
 func (s *Simulator) push(e event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
+
+// pending returns the number of live events: the queued submissions and
+// completions plus the plan's armed start.
+func (s *Simulator) pending() int {
+	if len(s.plan) > 0 {
+		return len(s.queue) + 1
+	}
+	return len(s.queue)
+}
+
+// next removes and returns the next event; pending must be positive. The
+// plan's head is the one armed start event: it fires after the
+// completions and before the submissions of its instant.
+func (s *Simulator) next() event {
+	if len(s.plan) > 0 {
+		at := s.plan[0].Start
+		if len(s.queue) == 0 || at < s.queue[0].time ||
+			at == s.queue[0].time && s.queue[0].kind > evStart {
+			return event{time: at, kind: evStart}
+		}
+	}
+	return s.queue.pop()
+}
+
+func cmpRunning(a, b machine.Running) int {
+	if c := cmp.Compare(a.End, b.End); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.JobID, b.JobID)
+}
+
+func cmpJobID(j *job.Job, id int) int { return cmp.Compare(j.ID, id) }
 
 // baseProfile builds the machine history profile from the running jobs at
 // the current clock, with estimated ends (the scheduler never sees actual
 // runtimes).
 func (s *Simulator) baseProfile() (*machine.Profile, error) {
-	rs := make([]machine.Running, 0, len(s.running))
-	for _, r := range s.running {
-		rs = append(rs, machine.Running{JobID: r.job.ID, Width: r.job.Width, End: r.estimatedEnd})
-	}
-	h, err := machine.HistoryFromRunning(s.total, s.clock, rs)
+	h, err := machine.HistoryFromRunning(s.total, s.clock, s.running)
 	if err != nil {
 		return nil, err
 	}
@@ -454,52 +506,46 @@ func (s *Simulator) baseProfile() (*machine.Profile, error) {
 	return p, nil
 }
 
+// waitingSlice returns a copy of the ID-ordered waiting queue; steps and
+// their observers keep it, so it must not alias s.waiting.
 func (s *Simulator) waitingSlice() []*job.Job {
-	out := make([]*job.Job, 0, len(s.waiting))
-	for _, j := range s.waiting {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
+	return slices.Clone(s.waiting)
 }
 
-// adoptPlan installs a new full schedule: it records planned starts,
-// enqueues start events, and immediately starts jobs planned for now.
+// adoptPlan installs a new full schedule: it replaces the plan, which arms
+// the start event at its first planned start, and immediately starts jobs
+// planned for now.
 func (s *Simulator) adoptPlan(sch *schedule.Schedule) {
-	s.planVer++
-	s.plan = make(map[int]int64, len(sch.Entries))
-	for _, e := range sch.Entries {
-		s.plan[e.Job.ID] = e.Start
-		if e.Start > s.clock {
-			s.push(event{time: e.Start, kind: evStart, job: e.Job, ver: s.planVer})
+	s.plan = append(s.plan[:0], sch.Entries...)
+	slices.SortFunc(s.plan, func(a, b schedule.Entry) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.Job.ID, b.Job.ID)
+	})
 	s.startDueJobs()
 }
 
-// startDueJobs starts every waiting job whose planned start is <= clock.
+// startDueJobs pops the plan's due prefix (planned start <= clock) and
+// starts those jobs in (planned start, ID) order.
 func (s *Simulator) startDueJobs() {
-	// Deterministic order: by planned start, then ID.
-	due := make([]*job.Job, 0, 4)
-	for id, start := range s.plan {
-		if start <= s.clock {
-			if j, ok := s.waiting[id]; ok {
-				due = append(due, j)
-			}
-		}
+	k := 0
+	for k < len(s.plan) && s.plan[k].Start <= s.clock {
+		k++
 	}
-	sort.Slice(due, func(i, k int) bool {
-		if s.plan[due[i].ID] != s.plan[due[k].ID] {
-			return s.plan[due[i].ID] < s.plan[due[k].ID]
+	due := s.plan[:k]
+	s.plan = s.plan[k:]
+	for _, e := range due {
+		j := e.Job
+		i, ok := slices.BinarySearchFunc(s.waiting, j.ID, cmpJobID)
+		if !ok {
+			continue
 		}
-		return due[i].ID < due[k].ID
-	})
-	for _, j := range due {
-		delete(s.waiting, j.ID)
-		delete(s.plan, j.ID)
-		r := &runningJob{job: j, start: s.clock, estimatedEnd: s.clock + j.Estimate}
-		s.running[j.ID] = r
-		s.push(event{time: s.clock + j.Runtime, kind: evEnd, job: j})
+		s.waiting = slices.Delete(s.waiting, i, i+1)
+		r := machine.Running{JobID: j.ID, Width: j.Width, End: s.clock + j.Estimate}
+		at, _ := slices.BinarySearchFunc(s.running, r, cmpRunning)
+		s.running = slices.Insert(s.running, at, r)
+		s.push(event{time: s.clock + j.Runtime, kind: evEnd, job: j, start: s.clock})
 		s.cStarts.Inc()
 		s.trace.Emit("sim.start",
 			obs.Int("t", s.clock),
@@ -724,69 +770,15 @@ const cancelCheckEvery = 64
 // in-flight per-step solve.
 func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 	s.ctx = ctx
-	var firstSubmit, lastEnd int64 = -1, 0
-	steps := 0
-	for s.queue.Len() > 0 {
-		if steps%cancelCheckEvery == 0 && ctx.Err() != nil {
+	for n := 0; s.pending() > 0; n++ {
+		if n%cancelCheckEvery == 0 && ctx.Err() != nil {
 			return nil, fmt.Errorf("sim: run canceled: %w", context.Cause(ctx))
 		}
-		s.hEventDepth.Observe(float64(s.queue.Len()))
-		e := heap.Pop(&s.queue).(event)
-		if e.time < s.clock {
-			return nil, fmt.Errorf("sim: time went backwards (%d < %d)", e.time, s.clock)
+		s.hEventDepth.Observe(float64(s.pending()))
+		if err := s.handle(s.next()); err != nil {
+			return nil, err
 		}
-		s.clock = e.time
-		switch e.kind {
-		case evEnd:
-			r, ok := s.running[e.job.ID]
-			if !ok {
-				return nil, fmt.Errorf("sim: completion for job %d which is not running", e.job.ID)
-			}
-			delete(s.running, e.job.ID)
-			done := CompletedJob{Job: r.job, Start: r.start, End: s.clock}
-			s.result.Completed = append(s.result.Completed, done)
-			s.cEnds.Inc()
-			s.trace.Emit("sim.end",
-				obs.Int("t", s.clock),
-				obs.Int("job", int64(r.job.ID)),
-				obs.Int("response", done.ResponseTime()),
-				obs.Int("wait", done.WaitTime()))
-			if s.clock > lastEnd {
-				lastEnd = s.clock
-			}
-			if len(s.waiting) > 0 {
-				if s.cfg.SelfTuneOnCompletion {
-					if err := s.selfTune(nil); err != nil {
-						return nil, err
-					}
-				} else if s.cfg.ReplanOnCompletion {
-					if err := s.replan(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case evStart:
-			if e.ver != s.planVer {
-				continue // superseded plan
-			}
-			s.startDueJobs()
-		case evSubmit:
-			if firstSubmit < 0 {
-				firstSubmit = s.clock
-			}
-			s.waiting[e.job.ID] = e.job
-			s.cSubmits.Inc()
-			s.trace.Emit("sim.submit",
-				obs.Int("t", s.clock),
-				obs.Int("job", int64(e.job.ID)),
-				obs.Int("width", int64(e.job.Width)),
-				obs.Int("estimate", e.job.Estimate))
-			if err := s.selfTune(e.job); err != nil {
-				return nil, err
-			}
-		}
-		steps++
-		if s.cfg.MaxSteps > 0 && steps > s.cfg.MaxSteps {
+		if s.cfg.MaxSteps > 0 && n+1 > s.cfg.MaxSteps {
 			return nil, fmt.Errorf("sim: exceeded MaxSteps=%d", s.cfg.MaxSteps)
 		}
 	}
@@ -794,12 +786,63 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("sim: finished with %d waiting and %d running jobs",
 			len(s.waiting), len(s.running))
 	}
-	if firstSubmit < 0 {
-		firstSubmit = 0
+	if s.firstSubmit < 0 {
+		s.firstSubmit = 0
 	}
-	s.result.Makespan = lastEnd - firstSubmit
+	s.result.Makespan = s.lastEnd - s.firstSubmit
 	out := s.result
 	return &out, nil
+}
+
+// handle advances the clock to e and processes it.
+func (s *Simulator) handle(e event) error {
+	if e.time < s.clock {
+		return fmt.Errorf("sim: time went backwards (%d < %d)", e.time, s.clock)
+	}
+	s.clock = e.time
+	switch e.kind {
+	case evEnd:
+		r := machine.Running{JobID: e.job.ID, Width: e.job.Width, End: e.start + e.job.Estimate}
+		i, ok := slices.BinarySearchFunc(s.running, r, cmpRunning)
+		if !ok {
+			return fmt.Errorf("sim: completion for job %d which is not running", e.job.ID)
+		}
+		s.running = slices.Delete(s.running, i, i+1)
+		done := CompletedJob{Job: e.job, Start: e.start, End: s.clock}
+		s.result.Completed = append(s.result.Completed, done)
+		s.cEnds.Inc()
+		s.trace.Emit("sim.end",
+			obs.Int("t", s.clock),
+			obs.Int("job", int64(e.job.ID)),
+			obs.Int("response", done.ResponseTime()),
+			obs.Int("wait", done.WaitTime()))
+		if s.clock > s.lastEnd {
+			s.lastEnd = s.clock
+		}
+		switch {
+		case len(s.waiting) == 0:
+		case s.cfg.SelfTuneOnCompletion:
+			return s.selfTune(nil)
+		case s.cfg.ReplanOnCompletion:
+			return s.replan()
+		}
+	case evStart:
+		s.startDueJobs()
+	case evSubmit:
+		if s.firstSubmit < 0 {
+			s.firstSubmit = s.clock
+		}
+		i, _ := slices.BinarySearchFunc(s.waiting, e.job.ID, cmpJobID)
+		s.waiting = slices.Insert(s.waiting, i, e.job)
+		s.cSubmits.Inc()
+		s.trace.Emit("sim.submit",
+			obs.Int("t", s.clock),
+			obs.Int("job", int64(e.job.ID)),
+			obs.Int("width", int64(e.job.Width)),
+			obs.Int("estimate", e.job.Estimate))
+		return s.selfTune(e.job)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's configuration: replan on completion,
