@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/benchkit"
 	"repro/internal/ilpsched"
 	"repro/internal/lp"
 	"repro/internal/mip"
@@ -15,18 +14,16 @@ import (
 // from an E1-style CTC simulation, branch and bound over the sparse-basis
 // relaxations must prove the same optimal objective as over the dense
 // explicit-inverse fallback. The steps are the same memoized instances
-// the presolve and reuse benchmarks measure.
+// the presolve benchmark measures. On the 6-job E5 warm-start instance
+// the sparse run must also show the LU machinery at work: relaxation
+// solves and Forrest–Tomlin updates, none of which the dense run makes.
 func TestSparseDenseBasisAgreeOnSampledCTCSteps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full MIP solves; skipped with -short")
 	}
-	steps, err := benchkit.SampledCTCSteps(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	compared := 0
-	for _, step := range steps {
-		m, err := ilpsched.Build(step.Inst, 120)
+	for _, step := range sampledCTCSteps(t) {
+		m, err := ilpsched.Build(step.Inst, ctcStepScale)
 		if err != nil {
 			t.Fatalf("step at %d: build: %v", step.Inst.Now, err)
 		}
@@ -66,4 +63,28 @@ func TestSparseDenseBasisAgreeOnSampledCTCSteps(t *testing.T) {
 		t.Fatal("no sampled CTC step solved to optimality under both bases")
 	}
 	t.Logf("compared %d sampled CTC steps sparse-vs-dense", compared)
+
+	for _, dense := range []bool{false, true} {
+		m, err := blowupModel(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := m.Solve(warmStartOptions(dense))
+		if err != nil {
+			t.Fatalf("E5 warm-start solve (dense=%v): %v", dense, err)
+		}
+		st := sol.MIP
+		if dense {
+			if st.FTUpdates != 0 {
+				t.Errorf("E5 dense solve reports %d Forrest–Tomlin updates", st.FTUpdates)
+			}
+			continue
+		}
+		if st.LPSolves == 0 || st.FTUpdates == 0 {
+			t.Errorf("E5 sparse solve: %d LP solves, %d Forrest–Tomlin updates, want both > 0",
+				st.LPSolves, st.FTUpdates)
+		}
+		t.Logf("E5 sparse solve: %d LP solves, %d Forrest–Tomlin updates, %d refactorizations",
+			st.LPSolves, st.FTUpdates, st.Refactorizations)
+	}
 }

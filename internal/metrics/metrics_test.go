@@ -161,3 +161,37 @@ func TestMetricMonotonicityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSLDwAProportionalToARTwW pins the identity behind experiment E9.
+// Entry.Slowdown divides the response time by the estimate, so within
+// one step SLDwA = Σ wᵢ·respᵢ / Σ areaᵢ and ARTwW = Σ wᵢ·respᵢ / Σ wᵢ:
+// SLDwA·Σarea == ARTwW·Σwidth for every schedule of a fixed job set. The
+// two metrics are proportional there, so the ILP's Eq. 2 optimum is also
+// the SLDwA optimum. Each seed draws one job set and several random
+// schedules of it.
+func TestSLDwAProportionalToARTwW(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := stats.NewRand(seed)
+		jobs := make([]*job.Job, r.Intn(12)+1)
+		var area, width float64
+		for i := range jobs {
+			est := int64(r.Intn(5000) + 1)
+			// Runtimes below estimates: the identity is on estimates.
+			jobs[i] = &job.Job{ID: i + 1, Submit: int64(r.Intn(3600)),
+				Width: r.Intn(64) + 1, Estimate: est, Runtime: int64(r.Intn(int(est))) + 1}
+			area += float64(jobs[i].Area())
+			width += float64(jobs[i].Width)
+		}
+		for k := 0; k < 5; k++ {
+			s := &schedule.Schedule{Now: 3600, Machine: 64}
+			for _, jb := range jobs {
+				s.Entries = append(s.Entries, schedule.Entry{Job: jb, Start: 3600 + int64(r.Intn(20000))})
+			}
+			lhs, rhs := SLDwA{}.Eval(s)*area, ARTwW{}.Eval(s)*width
+			if math.Abs(lhs-rhs) > 1e-9*math.Abs(rhs) {
+				t.Fatalf("seed %d schedule %d: SLDwA·Σarea = %.12g, ARTwW·Σwidth = %.12g",
+					seed, k, lhs, rhs)
+			}
+		}
+	}
+}

@@ -1376,7 +1376,7 @@ func (c *Core) ilpSchedule(ctx context.Context, tr *obs.Tracer, now int64, res *
 		pipe.Cache = c.stepCache
 	}
 	if pipe.ReuseSeed == nil && !c.cfg.ILP.ReuseOff {
-		pipe.ReuseSeed = reuseSeed(c.lastILP, waiting, now, c.total)
+		pipe.ReuseSeed = solvepipe.ReuseSeed(c.lastILP, waiting, now, c.total)
 	}
 	out := solvepipe.Solve(ctx, pipe, inst)
 	if !out.Failed() {
@@ -1414,52 +1414,6 @@ func (c *Core) ilpSchedule(ctx context.Context, tr *obs.Tracer, now int64, res *
 		obs.Int("attempts", int64(len(out.Attempts))),
 		obs.Str("policy", res.Chosen.Name()))
 	return res.Schedule, true, class, reason, out
-}
-
-// reuseSeed derives an incumbent candidate from the last adopted ILP
-// schedule: its entries restricted to the jobs still waiting, with jobs
-// that arrived since appended behind them in submission order (only the
-// relative order matters downstream).
-func reuseSeed(last *schedule.Schedule, waiting []*job.Job, now int64, total int) *schedule.Schedule {
-	if last == nil || len(last.Entries) == 0 {
-		return nil
-	}
-	waitingByID := make(map[int]bool, len(waiting))
-	for _, j := range waiting {
-		waitingByID[j.ID] = true
-	}
-	seed := &schedule.Schedule{Policy: "reuse", Now: now, Machine: total}
-	kept := make(map[int]bool, len(last.Entries))
-	maxStart := now
-	for _, e := range last.Entries {
-		if !waitingByID[e.Job.ID] {
-			continue
-		}
-		kept[e.Job.ID] = true
-		seed.Entries = append(seed.Entries, e)
-		if e.Start > maxStart {
-			maxStart = e.Start
-		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	fresh := make([]*job.Job, 0, len(waiting)-len(kept))
-	for _, j := range waiting {
-		if !kept[j.ID] {
-			fresh = append(fresh, j)
-		}
-	}
-	sort.Slice(fresh, func(i, k int) bool {
-		if fresh[i].Submit != fresh[k].Submit {
-			return fresh[i].Submit < fresh[k].Submit
-		}
-		return fresh[i].ID < fresh[k].ID
-	})
-	for k, j := range fresh {
-		seed.Entries = append(seed.Entries, schedule.Entry{Job: j, Start: maxStart + int64(k) + 1})
-	}
-	return seed
 }
 
 // replan rebuilds the plan with the active policy after completions.

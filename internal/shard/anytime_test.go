@@ -7,6 +7,10 @@ package shard
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -250,4 +254,43 @@ func TestShardedSLORejection(t *testing.T) {
 	// A submission without a deadline is still admitted: the twin only
 	// turns away jobs that asked for a guarantee it cannot give.
 	mustSubmit(t, r, schedd.SubmitRequest{Width: 8, Estimate: 100})
+}
+
+// TestShardedHTTPDeadlineRejection: a deadline_s in the POST /v1/jobs
+// body reaches every shard's digital twin, so a sharded daemon answers an
+// unmeetable deadline with the same 429 a direct Router.Submit gets.
+func TestShardedHTTPDeadlineRejection(t *testing.T) {
+	clock := schedd.NewManualClock(0)
+	r := newTestRouter(t, Config{
+		Shards: 2, Machine: 16,
+		Factory: basicFactory(t, clock, nil),
+	})
+	r.Start()
+	defer stopRouter(t, r)
+	for i := 0; i < 2; i++ {
+		resp := mustSubmit(t, r, schedd.SubmitRequest{Width: 8, Estimate: 10000})
+		waitState(t, r, resp.ID)
+	}
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"width":8,"estimate_s":100,"deadline_s":500}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "slo_deadline") {
+		t.Errorf("body does not name the SLO cause: %s", body)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Errorf("Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
+	}
 }

@@ -72,6 +72,7 @@ func NewHandler(r *Router) http.Handler {
 		ctx := obs.WithTraceID(req.Context(), trace)
 		resp, err := r.Submit(ctx, schedd.SubmitRequest{
 			Width: body.Width, Estimate: body.Estimate, Runtime: body.Runtime, Source: body.Source,
+			Deadline:       body.Deadline,
 			IdempotencyKey: req.Header.Get(schedd.IdemHeader),
 		})
 		if err != nil {

@@ -153,27 +153,22 @@ func TestStepCacheNotPoisonedByFallback(t *testing.T) {
 	}
 }
 
-// reuseSeed derives the next step's incumbent candidate from the last
-// adopted ILP schedule: departed jobs are dropped, survivors keep their
-// relative order, and new arrivals are appended behind them.
+// solvepipe.ReuseSeed derives the next step's incumbent candidate from
+// the last adopted ILP schedule: departed jobs are dropped, survivors keep
+// their relative order, and new arrivals are appended behind them.
 func TestReuseSeedFiltersAndAppends(t *testing.T) {
 	jA := &job.Job{ID: 1, Submit: 0, Width: 1, Runtime: 50, Estimate: 50}
 	jB := &job.Job{ID: 2, Submit: 0, Width: 1, Runtime: 50, Estimate: 50}
 	jC := &job.Job{ID: 3, Submit: 90, Width: 1, Runtime: 50, Estimate: 50}
 	jD := &job.Job{ID: 4, Submit: 80, Width: 1, Runtime: 50, Estimate: 50}
-	s, err := New(trace(2, jA, jB, jC, jD), standard(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.reuseSeed(nil) != nil {
+	if solvepipe.ReuseSeed(nil, nil, 100, 2) != nil {
 		t.Fatal("reuse seed without a previous schedule")
 	}
-	s.clock = 100
-	s.lastILP = &schedule.Schedule{Now: 90, Machine: 2, Entries: []schedule.Entry{
+	last := &schedule.Schedule{Now: 90, Machine: 2, Entries: []schedule.Entry{
 		{Job: jB, Start: 150}, {Job: jA, Start: 100},
 	}}
 	// jA started since (not waiting); jC and jD arrived since.
-	seed := s.reuseSeed([]*job.Job{jB, jC, jD})
+	seed := solvepipe.ReuseSeed(last, []*job.Job{jB, jC, jD}, 100, 2)
 	if seed == nil || len(seed.Entries) != 3 {
 		t.Fatalf("seed = %+v, want 3 entries", seed)
 	}
@@ -192,7 +187,7 @@ func TestReuseSeedFiltersAndAppends(t *testing.T) {
 		t.Fatalf("appended arrivals must sort last: %+v", seed.Entries)
 	}
 	// No overlap with the previous plan: no seed at all.
-	if got := s.reuseSeed([]*job.Job{jC, jD}); got != nil {
+	if got := solvepipe.ReuseSeed(last, []*job.Job{jC, jD}, 100, 2); got != nil {
 		t.Fatalf("seed from fully-departed plan = %+v, want nil", got)
 	}
 }

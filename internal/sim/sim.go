@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/dynp"
 	"repro/internal/ilpsched"
@@ -634,7 +633,7 @@ func (s *Simulator) ilpSchedule(res *dynp.StepResult, waiting []*job.Job, base *
 		pipe.Cache = s.stepCache
 	}
 	if pipe.ReuseSeed == nil && !s.cfg.ILP.ReuseOff {
-		pipe.ReuseSeed = s.reuseSeed(waiting)
+		pipe.ReuseSeed = solvepipe.ReuseSeed(s.lastILP, waiting, s.clock, s.total)
 	}
 	out := solvepipe.Solve(s.ctx, pipe, inst)
 	s.result.ILPSteps++
@@ -686,54 +685,6 @@ func (s *Simulator) ilpSchedule(res *dynp.StepResult, waiting []*job.Job, base *
 		obs.Int("attempts", int64(len(out.Attempts))),
 		obs.Str("policy", res.Chosen.Name()))
 	return res.Schedule, info, nil
-}
-
-// reuseSeed derives a second incumbent candidate from the last adopted
-// ILP schedule: its entries restricted to the jobs still waiting, with
-// jobs that arrived since appended behind them in submission order. Only
-// the relative order matters downstream (IncumbentFromSchedule and the
-// presolve upper-bound seeds list-schedule in start order), so the
-// appended entries just need starts that sort last.
-func (s *Simulator) reuseSeed(waiting []*job.Job) *schedule.Schedule {
-	if s.lastILP == nil || len(s.lastILP.Entries) == 0 {
-		return nil
-	}
-	waitingByID := make(map[int]bool, len(waiting))
-	for _, j := range waiting {
-		waitingByID[j.ID] = true
-	}
-	seed := &schedule.Schedule{Policy: "reuse", Now: s.clock, Machine: s.total}
-	kept := make(map[int]bool, len(s.lastILP.Entries))
-	maxStart := s.clock
-	for _, e := range s.lastILP.Entries {
-		if !waitingByID[e.Job.ID] {
-			continue // started or otherwise departed since
-		}
-		kept[e.Job.ID] = true
-		seed.Entries = append(seed.Entries, e)
-		if e.Start > maxStart {
-			maxStart = e.Start
-		}
-	}
-	if len(kept) == 0 {
-		return nil // nothing of the old plan survives
-	}
-	fresh := make([]*job.Job, 0, len(waiting)-len(kept))
-	for _, j := range waiting {
-		if !kept[j.ID] {
-			fresh = append(fresh, j)
-		}
-	}
-	sort.Slice(fresh, func(i, k int) bool {
-		if fresh[i].Submit != fresh[k].Submit {
-			return fresh[i].Submit < fresh[k].Submit
-		}
-		return fresh[i].ID < fresh[k].ID
-	})
-	for k, j := range fresh {
-		seed.Entries = append(seed.Entries, schedule.Entry{Job: j, Start: maxStart + int64(k) + 1})
-	}
-	return seed
 }
 
 // replan rebuilds the plan with the active policy, without self-tuning.

@@ -226,3 +226,52 @@ func (c *StepCache) get(key uint64, inst *ilpsched.Instance) (*ilpsched.Solution
 	c.mu.Unlock()
 	return sol, entry.scale
 }
+
+// ReuseSeed derives a Config.ReuseSeed candidate from the last adopted
+// ILP schedule: its entries restricted to the jobs still waiting, with
+// jobs that arrived since appended behind them in submission order. Only
+// the relative order matters downstream (IncumbentFromSchedule and the
+// presolve upper-bound seeds list-schedule in start order), so the
+// appended entries just need starts that sort last. It returns nil when
+// nothing of the last schedule is still waiting.
+func ReuseSeed(last *schedule.Schedule, waiting []*job.Job, now int64, total int) *schedule.Schedule {
+	if last == nil || len(last.Entries) == 0 {
+		return nil
+	}
+	waitingByID := make(map[int]bool, len(waiting))
+	for _, j := range waiting {
+		waitingByID[j.ID] = true
+	}
+	seed := &schedule.Schedule{Policy: "reuse", Now: now, Machine: total}
+	kept := make(map[int]bool, len(last.Entries))
+	maxStart := now
+	for _, e := range last.Entries {
+		if !waitingByID[e.Job.ID] {
+			continue // started or otherwise departed since
+		}
+		kept[e.Job.ID] = true
+		seed.Entries = append(seed.Entries, e)
+		if e.Start > maxStart {
+			maxStart = e.Start
+		}
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	fresh := make([]*job.Job, 0, len(waiting)-len(kept))
+	for _, j := range waiting {
+		if !kept[j.ID] {
+			fresh = append(fresh, j)
+		}
+	}
+	sort.Slice(fresh, func(i, k int) bool {
+		if fresh[i].Submit != fresh[k].Submit {
+			return fresh[i].Submit < fresh[k].Submit
+		}
+		return fresh[i].ID < fresh[k].ID
+	})
+	for k, j := range fresh {
+		seed.Entries = append(seed.Entries, schedule.Entry{Job: j, Start: maxStart + int64(k) + 1})
+	}
+	return seed
+}

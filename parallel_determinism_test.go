@@ -5,13 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ilpsched"
-	"repro/internal/metrics"
 	"repro/internal/mip"
-	"repro/internal/policy"
-	"repro/internal/sim"
-	"repro/internal/workload"
-
-	"repro/internal/dynp"
 )
 
 // TestParallelSolveMatchesSerialOnSampledSteps is the determinism
@@ -24,46 +18,19 @@ func TestParallelSolveMatchesSerialOnSampledSteps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full MIP solves; skipped with -short")
 	}
-	tr, err := workload.Generate(workload.CTC(), 120, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const maxChecks = 4
 	checked := 0
-	eligible := 0
-	cfg := sim.DefaultConfig()
-	cfg.OnStep = func(sc *sim.StepContext) {
-		n := len(sc.Waiting)
-		if n < 4 || n > 12 || len(sc.Result.Evals) == 0 || checked >= maxChecks {
-			return
-		}
-		eligible++
-		if (eligible-1)%2 != 0 { // every other eligible step, like the E1 study's sampling
-			return
-		}
-		var horizon int64
-		for _, e := range sc.Result.Evals {
-			if mk := e.Schedule.Makespan(); mk > horizon {
-				horizon = mk
-			}
-		}
-		if horizon <= sc.Now {
-			return
-		}
-		inst := &ilpsched.Instance{
-			Now: sc.Now, Machine: sc.Base.Total(), Base: sc.Base,
-			Jobs: sc.Waiting, Horizon: horizon,
-		}
+	for _, step := range sampledCTCSteps(t) {
+		now := step.Inst.Now
 		solve := func(workers int) *mip.Result {
 			// Build per solve: identical deterministic models, no shared
 			// mutable state between the two runs.
-			m, err := ilpsched.Build(inst, 120)
+			m, err := ilpsched.Build(step.Inst, ctcStepScale)
 			if err != nil {
-				t.Fatalf("step at %d: %v", sc.Now, err)
+				t.Fatalf("step at %d: %v", now, err)
 			}
 			sol, err := m.Solve(mip.Options{MaxNodes: 100000, Workers: workers})
 			if err != nil {
-				t.Fatalf("step at %d (workers=%d): %v", sc.Now, workers, err)
+				t.Fatalf("step at %d (workers=%d): %v", now, workers, err)
 			}
 			return sol.MIP
 		}
@@ -72,22 +39,14 @@ func TestParallelSolveMatchesSerialOnSampledSteps(t *testing.T) {
 			// A node-limited step proves nothing about determinism — don't
 			// compare incumbents of two different truncated searches.
 			t.Logf("step at %d: serial %v, parallel %v — skipped (not both optimal)",
-				sc.Now, serial.Status, parallel.Status)
-			return
+				now, serial.Status, parallel.Status)
+			continue
 		}
 		if math.Abs(serial.Objective-parallel.Objective) > 1e-6 {
 			t.Errorf("step at %d: serial objective %g, parallel %g",
-				sc.Now, serial.Objective, parallel.Objective)
+				now, serial.Objective, parallel.Objective)
 		}
 		checked++
-	}
-	sched := dynp.MustNew(policy.Standard(), metrics.SLDwA{}, dynp.AdvancedDecider{})
-	s, err := sim.New(tr, sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 	if checked == 0 {
 		t.Fatal("no sampled step solved to optimality under both worker counts; loosen the sampling")

@@ -4,14 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dynp"
 	"repro/internal/ilpsched"
-	"repro/internal/metrics"
 	"repro/internal/mip"
-	"repro/internal/policy"
-	"repro/internal/schedule"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // TestPresolveMatchesUnreducedOnSampledCTCSteps is the acceptance test
@@ -23,75 +17,42 @@ func TestPresolveMatchesUnreducedOnSampledCTCSteps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full MIP solves; skipped with -short")
 	}
-	tr, err := workload.Generate(workload.CTC(), 120, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const maxChecks = 4
 	checked := 0
-	eligible := 0
 	varsBefore, varsAfter := 0, 0
-	cfg := sim.DefaultConfig()
-	cfg.OnStep = func(sc *sim.StepContext) {
-		n := len(sc.Waiting)
-		if n < 4 || n > 12 || len(sc.Result.Evals) == 0 || checked >= maxChecks {
-			return
-		}
-		eligible++
-		if (eligible-1)%2 != 0 { // every other eligible step, like the E1 sampling
-			return
-		}
-		var horizon int64
-		var seeds []*schedule.Schedule
-		for _, e := range sc.Result.Evals {
-			seeds = append(seeds, e.Schedule)
-			if mk := e.Schedule.Makespan(); mk > horizon {
-				horizon = mk
-			}
-		}
-		if horizon <= sc.Now {
-			return
-		}
-		inst := &ilpsched.Instance{
-			Now: sc.Now, Machine: sc.Base.Total(), Base: sc.Base,
-			Jobs: sc.Waiting, Horizon: horizon,
-		}
-		full, err := ilpsched.Build(inst, 120)
+	entriesBefore, entriesAfter := 0, 0
+	for _, step := range sampledCTCSteps(t) {
+		now := step.Inst.Now
+		full, err := ilpsched.Build(step.Inst, ctcStepScale)
 		if err != nil {
-			t.Fatalf("step at %d: %v", sc.Now, err)
+			t.Fatalf("step at %d: %v", now, err)
 		}
 		fullSol, err := full.Solve(mip.Options{MaxNodes: 100000})
 		if err != nil {
-			t.Fatalf("step at %d: full solve: %v", sc.Now, err)
+			t.Fatalf("step at %d: full solve: %v", now, err)
 		}
-		red, st, err := ilpsched.BuildPresolved(inst, 120, ilpsched.PresolveOptions{Seeds: seeds})
+		red, st, err := ilpsched.BuildPresolved(step.Inst, ctcStepScale,
+			ilpsched.PresolveOptions{Seeds: step.Seeds})
 		if err != nil {
-			t.Fatalf("step at %d: presolve: %v", sc.Now, err)
+			t.Fatalf("step at %d: presolve: %v", now, err)
 		}
 		redSol, err := red.Solve(mip.Options{MaxNodes: 100000})
 		if err != nil {
-			t.Fatalf("step at %d: presolved solve: %v", sc.Now, err)
+			t.Fatalf("step at %d: presolved solve: %v", now, err)
 		}
 		if fullSol.MIP.Status != mip.Optimal || redSol.MIP.Status != mip.Optimal {
 			t.Logf("step at %d: full %v, presolved %v — skipped (not both optimal)",
-				sc.Now, fullSol.MIP.Status, redSol.MIP.Status)
-			return
+				now, fullSol.MIP.Status, redSol.MIP.Status)
+			continue
 		}
 		if math.Abs(fullSol.Objective-redSol.Objective) > 1e-6 {
 			t.Errorf("step at %d: full objective %g, presolved %g (stats %+v)",
-				sc.Now, fullSol.Objective, redSol.Objective, st)
+				now, fullSol.Objective, redSol.Objective, st)
 		}
 		varsBefore += st.VarsBefore
 		varsAfter += st.VarsAfter
+		entriesBefore += st.EntriesBefore
+		entriesAfter += st.EntriesAfter
 		checked++
-	}
-	sched := dynp.MustNew(policy.Standard(), metrics.SLDwA{}, dynp.AdvancedDecider{})
-	s, err := sim.New(tr, sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 	if checked == 0 {
 		t.Fatal("no sampled step solved to optimality under both models; loosen the sampling")
@@ -100,7 +61,9 @@ func TestPresolveMatchesUnreducedOnSampledCTCSteps(t *testing.T) {
 		t.Errorf("presolve removed nothing across %d steps: %d -> %d vars",
 			checked, varsBefore, varsAfter)
 	}
-	t.Logf("compared %d sampled steps: %d -> %d vars (%.1f%% removed)",
+	t.Logf("compared %d sampled steps: %d -> %d vars (%.1f%% removed), %d -> %d matrix entries (%.1f%% removed)",
 		checked, varsBefore, varsAfter,
-		100*float64(varsBefore-varsAfter)/float64(varsBefore))
+		100*float64(varsBefore-varsAfter)/float64(varsBefore),
+		entriesBefore, entriesAfter,
+		100*float64(entriesBefore-entriesAfter)/float64(entriesBefore))
 }
