@@ -67,7 +67,7 @@ func main() {
 		noReplan   = flag.Bool("no-replan", false, "do not replan when jobs finish early")
 		lenient    = flag.Bool("lenient", false, "tolerate corrupt SWF records (count and skip them)")
 		ilpDriven  = flag.Bool("ilp", false, "adopt ILP schedules via the fault-tolerant solve pipeline")
-		workers    = flag.Int("workers", 0, "parallel solve workers: MIP worker pool (0 = 1, deterministic) and concurrent policy evaluation (on unless 1)")
+		workers    = flag.Int("workers", 0, "MIP worker pool size for -ilp solves (0 = 1, deterministic)")
 		budget     = flag.Duration("solve-budget", 10*time.Second, "per-attempt solve budget of the retry ladder (with -ilp)")
 		retries    = flag.Int("solve-retries", 2, "extra retry-ladder attempts under a coarser grid (with -ilp)")
 		maxVars    = flag.Int("max-model-vars", 0, "refuse to build ILP models above this many variables (0 = unguarded; with -presolve the guard sees the reduced size)")
@@ -144,7 +144,6 @@ func main() {
 	cfg := sim.Config{
 		Machine:            *machineSz,
 		ReplanOnCompletion: !*noReplan,
-		ParallelSteps:      *workers != 1,
 		Trace:              tracer,
 		Metrics:            reg,
 	}

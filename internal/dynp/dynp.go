@@ -15,10 +15,10 @@
 package dynp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/job"
 	"repro/internal/machine"
@@ -158,7 +158,7 @@ type Scheduler struct {
 	metric   metrics.Metric
 	decider  Decider
 	current  policy.Policy
-	parallel bool
+	builder  policy.Builder // scratch for every build; a Scheduler is single-goroutine
 
 	steps    int
 	switches int
@@ -167,7 +167,6 @@ type Scheduler struct {
 	cSteps    *obs.Counter
 	cSwitches *obs.Counter
 	cReplans  *obs.Counter
-	cParSteps *obs.Counter
 }
 
 // New constructs a scheduler. policies must be non-empty; the first one is
@@ -228,20 +227,11 @@ func (s *Scheduler) SetObs(trace *obs.Tracer, reg *obs.Registry) {
 	s.cSteps = reg.Counter("dynp.steps")
 	s.cSwitches = reg.Counter("dynp.switches")
 	s.cReplans = reg.Counter("dynp.replans")
-	s.cParSteps = reg.Counter("dynp.parallel.steps")
 }
-
-// SetParallel makes Step evaluate the candidate policies concurrently,
-// one goroutine per policy. Each policy builds its schedule on its own
-// clone of the base profile, so the evaluations are independent; results
-// are deterministic regardless of scheduling order because they are
-// collected positionally.
-func (s *Scheduler) SetParallel(on bool) { s.parallel = on }
 
 // buildEval builds and evaluates one policy's schedule with panic
 // containment: a panicking policy implementation must not kill the whole
-// simulation (in the parallel path a goroutine panic would otherwise
-// crash the process). A recovered panic is reported like a build error.
+// simulation. A recovered panic is reported like a build error.
 func (s *Scheduler) buildEval(now int64, base *machine.Profile, waiting []*job.Job, p policy.Policy) (ev Evaluation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -252,7 +242,7 @@ func (s *Scheduler) buildEval(now int64, base *machine.Profile, waiting []*job.J
 				obs.Str("value", fmt.Sprint(r)))
 		}
 	}()
-	sch, berr := policy.Build(p, now, base, waiting)
+	sch, berr := s.builder.Build(p, now, base, waiting)
 	if berr != nil {
 		return Evaluation{}, fmt.Errorf("dynp: %s: %v", p.Name(), berr)
 	}
@@ -268,43 +258,19 @@ func (s *Scheduler) buildEval(now int64, base *machine.Profile, waiting []*job.J
 // recovered and traced as "dynp.panic"); Step errors only when no policy
 // produced a schedule.
 func (s *Scheduler) Step(now int64, base *machine.Profile, waiting []*job.Job) (*StepResult, error) {
-	all := make([]Evaluation, len(s.policies))
-	errs := make([]error, len(s.policies))
-	if s.parallel && len(s.policies) > 1 {
-		s.cParSteps.Inc()
-		// One goroutine per policy, bounded to GOMAXPROCS so a large
-		// policy set does not oversubscribe the machine while ILP solves
-		// (which have their own worker pools) run in the same process.
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		var wg sync.WaitGroup
-		for i, p := range s.policies {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, p policy.Policy) {
-				defer func() { <-sem; wg.Done() }()
-				all[i], errs[i] = s.buildEval(now, base, waiting, p)
-			}(i, p)
-		}
-		wg.Wait()
-	} else {
-		for i, p := range s.policies {
-			all[i], errs[i] = s.buildEval(now, base, waiting, p)
-			// Build boundaries are not preemption points; yield so other
-			// goroutines (serving handlers, the WAL writer) get the CPU
-			// between policy evaluations on a small host.
-			runtime.Gosched()
-		}
-	}
-	evals := all[:0]
+	evals := make([]Evaluation, 0, len(s.policies))
 	var firstErr error
-	for i := range all {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
+	for _, p := range s.policies {
+		ev, err := s.buildEval(now, base, waiting, p)
+		// Build boundaries are not preemption points; yield so other
+		// goroutines (serving handlers, the WAL writer) get the CPU
+		// between policy evaluations on a small host.
+		runtime.Gosched()
+		if err != nil {
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
-		evals = append(evals, all[i])
+		evals = append(evals, ev)
 	}
 	if len(evals) == 0 {
 		return nil, fmt.Errorf("dynp: no policy produced a schedule: %w", firstErr)
@@ -343,5 +309,5 @@ func (s *Scheduler) Step(now int64, base *machine.Profile, waiting []*job.Job) (
 // the plan is compacted, which is not a policy decision point).
 func (s *Scheduler) Reschedule(now int64, base *machine.Profile, waiting []*job.Job) (*schedule.Schedule, error) {
 	s.cReplans.Inc()
-	return policy.Build(s.current, now, base, waiting)
+	return s.builder.Build(s.current, now, base, waiting)
 }

@@ -2,6 +2,7 @@ package dynp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,43 @@ func TestReschedule(t *testing.T) {
 	}
 }
 
+// brokenPolicy panics as soon as the builder orders the queue.
+type brokenPolicy struct{}
+
+func (brokenPolicy) Name() string            { return "BROKEN" }
+func (brokenPolicy) Less(_, _ *job.Job) bool { panic("broken ordering") }
+
+// A policy that panics mid-build is dropped from the step, and the build
+// scratch the scheduler reuses afterwards gives the other policies the
+// schedules a scheduler without the broken policy builds, step after step.
+func TestStepContainsPanickingPolicy(t *testing.T) {
+	base := machine.New(8, 0)
+	base.Reserve(0, 100, 3)
+	waiting := []*job.Job{j(1, 0, 4, 50), j(2, 0, 6, 20), j(3, 5, 2, 80), j(4, 8, 5, 10)}
+	s := MustNew([]policy.Policy{policy.FCFS{}, brokenPolicy{}, policy.SJF{}}, metrics.SLDwA{}, AdvancedDecider{})
+	ref := MustNew([]policy.Policy{policy.FCFS{}, policy.SJF{}}, metrics.SLDwA{}, AdvancedDecider{})
+	for step := int64(10); step < 13; step++ {
+		got, err := s.Step(step, base, waiting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Step(step, base, waiting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Evals) != len(want.Evals) || got.Chosen.Name() != want.Chosen.Name() {
+			t.Fatalf("step %d: %d evals choosing %s, want %d choosing %s",
+				step, len(got.Evals), got.Chosen.Name(), len(want.Evals), want.Chosen.Name())
+		}
+		for i, e := range got.Evals {
+			if !slices.Equal(e.Schedule.Entries, want.Evals[i].Schedule.Entries) {
+				t.Fatalf("step %d %s: %v, want %v", step, e.Policy.Name(),
+					e.Schedule.Entries, want.Evals[i].Schedule.Entries)
+			}
+		}
+	}
+}
+
 // Property: the decider always returns one of the evaluated policies, the
 // chosen value is never beaten by any other evaluation, and the advanced
 // decider never switches without a strict improvement over the old policy.
@@ -310,67 +348,5 @@ func TestThresholdDeciderReducesSwitches(t *testing.T) {
 	if damped.Switches() > eager.Switches() {
 		t.Fatalf("damped decider switched more (%d) than advanced (%d)",
 			damped.Switches(), eager.Switches())
-	}
-}
-
-func TestParallelStepMatchesSequential(t *testing.T) {
-	r := stats.NewRand(17)
-	base := machine.New(32, 0)
-	base.Reserve(0, 500, 12)
-	var waiting []*job.Job
-	for k := 0; k < 20; k++ {
-		waiting = append(waiting, j(k+1, int64(r.Intn(50)), r.Intn(16)+1, int64(r.Intn(900)+10)))
-	}
-	seq := MustNew(policy.Extended(), metrics.SLDwA{}, AdvancedDecider{})
-	par := MustNew(policy.Extended(), metrics.SLDwA{}, AdvancedDecider{})
-	par.SetParallel(true)
-	rs, err := seq.Step(100, base, waiting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := par.Step(100, base, waiting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Chosen.Name() != rp.Chosen.Name() {
-		t.Fatalf("parallel chose %s, sequential %s", rp.Chosen.Name(), rs.Chosen.Name())
-	}
-	for i := range rs.Evals {
-		if rs.Evals[i].Value != rp.Evals[i].Value {
-			t.Fatalf("eval %d differs: %v vs %v", i, rs.Evals[i].Value, rp.Evals[i].Value)
-		}
-	}
-}
-
-func TestParallelStepErrorPropagates(t *testing.T) {
-	s := MustNew(policy.Standard(), metrics.SLDwA{}, SimpleDecider{})
-	s.SetParallel(true)
-	base := machine.New(2, 0)
-	if _, err := s.Step(0, base, []*job.Job{j(1, 0, 5, 10)}); err == nil {
-		t.Fatal("parallel step swallowed the error")
-	}
-}
-
-func BenchmarkStepParallelVsSequential(b *testing.B) {
-	r := stats.NewRand(7)
-	base := machine.New(430, 0)
-	var waiting []*job.Job
-	for k := 0; k < 50; k++ {
-		waiting = append(waiting, j(k+1, int64(r.Intn(3600)), r.Intn(64)+1, int64(r.Intn(14400)+60)))
-	}
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := MustNew(policy.Extended(), metrics.SLDwA{}, AdvancedDecider{})
-			s.SetParallel(par)
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Step(3600, base, waiting); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

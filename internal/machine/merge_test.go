@@ -18,15 +18,26 @@ func refShift(p *Profile, start, end int64, delta int) bool {
 			return false
 		}
 	}
-	lo, hi := p.splitAt(start), len(p.steps)
+	lo, hi := splitAt(p, start), len(p.steps)
 	if end != Horizon {
-		hi = p.splitAt(end)
+		hi = splitAt(p, end)
 	}
 	for i := lo; i < hi; i++ {
 		p.steps[i].Free += delta
 	}
 	p.normalize()
 	return true
+}
+
+// splitAt ensures a step boundary exists exactly at time t and returns its
+// index.
+func splitAt(p *Profile, t int64) int {
+	i := p.segmentAt(t)
+	if p.steps[i].Time == t {
+		return i
+	}
+	p.steps = slices.Insert(p.steps, i+1, Step{Time: t, Free: p.steps[i].Free})
+	return i + 1
 }
 
 // Property: random Reserve/Release sequences — width 0, open-ended
@@ -95,6 +106,64 @@ func TestLocalMergeMatchesWholeNormalize(t *testing.T) {
 			}
 			if err := p.Validate(); err != nil && !(openEnded && strings.Contains(err.Error(), "open-ended")) {
 				t.Fatalf("trial %d op %d %+v: %v (steps %v)", trial, op, cur, err, p.steps)
+			}
+		}
+	}
+}
+
+// Property: Place gives the start EarliestFit gives and leaves the steps
+// EarliestFit+Reserve (and the whole-profile reference) leave — for width 0, too-wide jobs, earliest before
+// the origin, windows starting or ending exactly on an existing step and
+// windows reaching the last segment.
+func TestPlaceMatchesEarliestFitReserve(t *testing.T) {
+	const total, origin = 16, 100
+	r := stats.NewRand(11)
+	for trial := 0; trial < 200; trial++ {
+		p := New(total, origin)
+		for op := 0; op < 60; op++ {
+			stepTime := func() int64 { return p.steps[r.Intn(len(p.steps))].Time }
+			earliest := origin + int64(r.Intn(400)) - 50
+			switch r.Intn(4) {
+			case 0:
+				earliest = stepTime()
+			case 1:
+				earliest = int64(r.Intn(origin)) // before the origin
+			}
+			dur := int64(r.Intn(120) + 1)
+			switch r.Intn(4) {
+			case 0: // end on an existing step when one lies ahead
+				if st := stepTime(); st > max(earliest, origin) {
+					dur = st - max(earliest, origin)
+				}
+			case 1: // reach past the last step
+				dur = p.steps[len(p.steps)-1].Time - origin + int64(r.Intn(50)+1)
+			}
+			w := r.Intn(8)
+			switch r.Intn(10) {
+			case 0:
+				w = 0
+			case 1:
+				w = total + 1 + r.Intn(3)
+			}
+			ref, whole := p.Clone(), p.Clone()
+			wantStart, wantOK := ref.EarliestFit(earliest, dur, w)
+			if wantOK {
+				if err := ref.Reserve(wantStart, wantStart+dur, w); err != nil {
+					t.Fatalf("trial %d op %d: reference reserve: %v", trial, op, err)
+				}
+				refShift(whole, wantStart, wantStart+dur, -w)
+			}
+			start, ok := p.Place(earliest, dur, w)
+			if start != wantStart || ok != wantOK {
+				t.Fatalf("trial %d op %d Place(%d, %d, %d) = %d, %v; want %d, %v (steps %v)",
+					trial, op, earliest, dur, w, start, ok, wantStart, wantOK, ref.steps)
+			}
+			if !slices.Equal(p.steps, ref.steps) || !slices.Equal(p.steps, whole.steps) {
+				t.Fatalf("trial %d op %d Place(%d, %d, %d): steps %v, Reserve %v, whole-profile %v",
+					trial, op, earliest, dur, w, p.steps, ref.steps, whole.steps)
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatalf("trial %d op %d: %v (steps %v)", trial, op, err, p.steps)
 			}
 		}
 	}

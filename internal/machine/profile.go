@@ -13,7 +13,7 @@ package machine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Horizon is the sentinel end time of the last profile segment.
@@ -55,9 +55,14 @@ func (p *Profile) Origin() int64 { return p.steps[0].Time }
 // Clone returns an independent copy of the profile. Policies build their
 // candidate schedules on clones so that the live profile is untouched.
 func (p *Profile) Clone() *Profile {
-	cp := &Profile{total: p.total, steps: make([]Step, len(p.steps))}
-	copy(cp.steps, p.steps)
-	return cp
+	return &Profile{total: p.total, steps: slices.Clone(p.steps)}
+}
+
+// CopyFrom makes p an independent copy of src, reusing p's step storage.
+// p may be the zero Profile.
+func (p *Profile) CopyFrom(src *Profile) {
+	p.total = src.total
+	p.steps = append(p.steps[:0], src.steps...)
 }
 
 // Steps returns a copy of the profile's segments (for display and tests).
@@ -68,8 +73,16 @@ func (p *Profile) Steps() []Step {
 // segmentAt returns the index of the segment containing time t.
 // t must be >= Origin().
 func (p *Profile) segmentAt(t int64) int {
-	// sort.Search for the first step with Time > t, minus one.
-	i := sort.Search(len(p.steps), func(i int) bool { return p.steps[i].Time > t })
+	// Binary search for the first step with Time > t, minus one.
+	i, j := 0, len(p.steps)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if p.steps[h].Time > t {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
 	if i == 0 {
 		panic(fmt.Sprintf("machine: time %d before profile origin %d", t, p.Origin()))
 	}
@@ -81,23 +94,8 @@ func (p *Profile) FreeAt(t int64) int {
 	return p.steps[p.segmentAt(t)].Free
 }
 
-// splitAt ensures a step boundary exists exactly at time t and returns its
-// index. t must be >= Origin().
-func (p *Profile) splitAt(t int64) int {
-	i := p.segmentAt(t)
-	if p.steps[i].Time == t {
-		return i
-	}
-	p.steps = append(p.steps, Step{})
-	copy(p.steps[i+2:], p.steps[i+1:])
-	p.steps[i+1] = Step{Time: t, Free: p.steps[i].Free}
-	return i + 1
-}
-
 // mergeAt removes the boundary at index i if it separates two segments
-// with equal Free values. Reserve and Release shift a contiguous run of
-// segments by the same width, so on a normalized profile only the two
-// boundaries of that run can become redundant.
+// with equal Free values.
 func (p *Profile) mergeAt(i int) {
 	if i > 0 && i < len(p.steps) && p.steps[i].Free == p.steps[i-1].Free {
 		p.steps = append(p.steps[:i], p.steps[i+1:]...)
@@ -128,23 +126,15 @@ func (p *Profile) Reserve(start, end int64, width int) error {
 	if start < p.Origin() {
 		return fmt.Errorf("machine: reservation start %d before profile origin %d", start, p.Origin())
 	}
-	// Check first.
-	for i := p.segmentAt(start); i < len(p.steps) && p.steps[i].Time < end; i++ {
+	first, last := p.segmentAt(start), 0
+	for i := first; i < len(p.steps) && p.steps[i].Time < end; i++ {
 		if p.steps[i].Free < width {
 			return fmt.Errorf("machine: only %d processors free at %d, need %d",
 				p.steps[i].Free, maxi64(start, p.steps[i].Time), width)
 		}
+		last = i
 	}
-	lo := p.splitAt(start)
-	hi := len(p.steps) // reservation extends to the end of the profile
-	if end != Horizon {
-		hi = p.splitAt(end)
-	}
-	for i := lo; i < hi; i++ {
-		p.steps[i].Free -= width
-	}
-	p.mergeAt(hi) // hi first: merging there leaves lo in place
-	p.mergeAt(lo)
+	p.shift(start, end, first, last, -width)
 	return nil
 }
 
@@ -161,23 +151,45 @@ func (p *Profile) Release(start, end int64, width int) error {
 	if start < p.Origin() {
 		return fmt.Errorf("machine: release start %d before profile origin %d", start, p.Origin())
 	}
-	for i := p.segmentAt(start); i < len(p.steps) && p.steps[i].Time < end; i++ {
+	first, last := p.segmentAt(start), 0
+	for i := first; i < len(p.steps) && p.steps[i].Time < end; i++ {
 		if p.steps[i].Free+width > p.total {
 			return fmt.Errorf("machine: release would exceed machine size at %d",
 				maxi64(start, p.steps[i].Time))
 		}
+		last = i
 	}
-	lo := p.splitAt(start)
-	hi := len(p.steps)
+	p.shift(start, end, first, last, width)
+	return nil
+}
+
+// shift adds delta to the free capacity on [start, end), whose first and
+// last segments the caller has already found and checked. Every segment
+// of the run moves by the same delta, so on a normalized profile only the
+// run's two boundaries can become redundant: booking is at most two
+// boundary inserts and two local merges. The range check is a guard
+// against callers that skipped the capacity check.
+func (p *Profile) shift(start, end int64, first, last, delta int) {
+	hi := len(p.steps) // an open-ended interval runs to the end of the profile
 	if end != Horizon {
-		hi = p.splitAt(end)
+		if hi = last + 1; hi == len(p.steps) || p.steps[hi].Time != end {
+			p.steps = slices.Insert(p.steps, hi, Step{Time: end, Free: p.steps[last].Free})
+		}
+	}
+	lo := first
+	if p.steps[lo].Time != start {
+		lo++
+		p.steps = slices.Insert(p.steps, lo, Step{Time: start, Free: p.steps[first].Free})
+		hi++
 	}
 	for i := lo; i < hi; i++ {
-		p.steps[i].Free += width
+		if p.steps[i].Free += delta; p.steps[i].Free < 0 || p.steps[i].Free > p.total {
+			panic(fmt.Sprintf("machine: free capacity %d outside [0, %d] at %d",
+				p.steps[i].Free, p.total, p.steps[i].Time))
+		}
 	}
 	p.mergeAt(hi) // hi first: merging there leaves lo in place
 	p.mergeAt(lo)
-	return nil
 }
 
 // EarliestFit returns the earliest start time >= earliest at which width
@@ -185,8 +197,32 @@ func (p *Profile) Release(start, end int64, width int) error {
 // only if width exceeds the machine size (any narrower job eventually fits
 // because all reservations are finite).
 func (p *Profile) EarliestFit(earliest, dur int64, width int) (start int64, ok bool) {
+	start, _, _, ok = p.fit(earliest, dur, width)
+	return start, ok
+}
+
+// Place books width processors for dur seconds at the earliest start
+// >= earliest, as EarliestFit followed by Reserve would, and returns the
+// start. The fit scan has already proved the window free, so nothing is
+// searched or checked twice. It returns ok=false, leaving the profile
+// unchanged, only if width exceeds the machine size.
+func (p *Profile) Place(earliest, dur int64, width int) (start int64, ok bool) {
+	if width < 0 {
+		panic(fmt.Sprintf("machine: negative width %d", width))
+	}
+	start, first, last, ok := p.fit(earliest, dur, width)
+	if ok {
+		p.shift(start, start+dur, first, last, -width)
+	}
+	return start, ok
+}
+
+// fit is the scan behind EarliestFit and Place: it returns the earliest
+// fitting start and the indices of the first and last segments of the
+// window [start, start+dur).
+func (p *Profile) fit(earliest, dur int64, width int) (start int64, first, last int, ok bool) {
 	if width > p.total {
-		return 0, false
+		return 0, 0, 0, false
 	}
 	if dur <= 0 {
 		panic(fmt.Sprintf("machine: non-positive duration %d", dur))
@@ -207,14 +243,14 @@ func (p *Profile) EarliestFit(earliest, dur int64, width int) (start int64, ok b
 					// happen for valid profiles (last segment is fully
 					// free once all finite reservations end), but guard
 					// against malformed input.
-					return 0, false
+					return 0, 0, 0, false
 				}
 				cand = p.steps[j+1].Time
 				i = j + 1
 				break
 			}
 			if j+1 >= len(p.steps) || p.steps[j+1].Time >= cand+dur {
-				return cand, true // window fits entirely
+				return cand, i, j, true // window fits entirely
 			}
 			j++
 		}

@@ -335,6 +335,39 @@ func BenchmarkEarliestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkPlace list-schedules 200 random jobs onto an empty profile,
+// fused (Place) and as the fit scan followed by Reserve.
+func BenchmarkPlace(b *testing.B) {
+	type req struct {
+		dur int64
+		w   int
+	}
+	r := stats.NewRand(1)
+	reqs := make([]req, 200)
+	for k := range reqs {
+		reqs[k] = req{dur: int64(r.Intn(5000) + 60), w: r.Intn(64) + 1}
+	}
+	empty := New(430, 0)
+	var p Profile
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.CopyFrom(empty)
+			for _, q := range reqs {
+				p.Place(0, q.dur, q.w)
+			}
+		}
+	})
+	b.Run("fit-then-reserve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.CopyFrom(empty)
+			for _, q := range reqs {
+				s, _ := p.EarliestFit(0, q.dur, q.w)
+				p.Reserve(s, s+q.dur, q.w)
+			}
+		}
+	})
+}
+
 func BenchmarkReserveRelease(b *testing.B) {
 	p := New(430, 0)
 	b.ResetTimer()

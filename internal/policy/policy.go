@@ -134,21 +134,37 @@ func ByName(name string) (Policy, error) {
 //
 // It returns an error only if a job is wider than the machine.
 func Build(p Policy, now int64, base *machine.Profile, waiting []*job.Job) (*schedule.Schedule, error) {
-	ordered := slices.Clone(waiting)
-	slices.SortFunc(ordered, func(a, b *job.Job) int {
+	return new(Builder).Build(p, now, base, waiting)
+}
+
+// Builder is Build with scratch state: it reuses one profile and one order
+// slice across builds, so a build allocates only the returned Schedule
+// and its Entries. A Builder is not safe for concurrent use.
+type Builder struct {
+	prof  machine.Profile
+	order []*job.Job
+}
+
+// Build is the package-level Build on b's scratch state. Schedules it
+// returned earlier are not affected.
+func (b *Builder) Build(p Policy, now int64, base *machine.Profile, waiting []*job.Job) (*schedule.Schedule, error) {
+	b.order = append(b.order[:0], waiting...)
+	defer clear(b.order) // do not keep finished jobs reachable
+	// Less is total (IDs break ties), so one call decides the order.
+	slices.SortFunc(b.order, func(x, y *job.Job) int {
 		switch {
-		case p.Less(a, b):
+		case x == y:
+			return 0
+		case p.Less(x, y):
 			return -1
-		case p.Less(b, a):
-			return 1
 		}
-		return 0
+		return 1
 	})
 
-	prof := base.Clone()
+	b.prof.CopyFrom(base)
 	s := &schedule.Schedule{Policy: p.Name(), Now: now, Machine: base.Total(),
-		Entries: make([]schedule.Entry, 0, len(ordered))}
-	for i, j := range ordered {
+		Entries: make([]schedule.Entry, 0, len(b.order))}
+	for i, j := range b.order {
 		// Cooperative yield every 64 placements: a deep queue makes one
 		// build run for multiple milliseconds of profile scans, which is
 		// under the Go async-preemption threshold — on a small-GOMAXPROCS
@@ -162,13 +178,10 @@ func Build(p Policy, now int64, base *machine.Profile, waiting []*job.Job) (*sch
 		if j.Submit > earliest {
 			earliest = j.Submit
 		}
-		start, ok := prof.EarliestFit(earliest, j.Estimate, j.Width)
+		start, ok := b.prof.Place(earliest, j.Estimate, j.Width)
 		if !ok {
 			return nil, fmt.Errorf("policy: job %d (width %d) wider than machine (%d)",
 				j.ID, j.Width, base.Total())
-		}
-		if err := prof.Reserve(start, start+j.Estimate, j.Width); err != nil {
-			return nil, fmt.Errorf("policy: job %d: %v", j.ID, err)
 		}
 		s.Entries = append(s.Entries, schedule.Entry{Job: j, Start: start})
 	}

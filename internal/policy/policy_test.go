@@ -2,12 +2,14 @@ package policy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/schedule"
 	"repro/internal/stats"
 )
 
@@ -204,6 +206,98 @@ func TestBuildFeasibilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refBuild is the list scheduler Builder replaced: a two-Less sort of a
+// copied queue, then EarliestFit and Reserve on a fresh clone of base.
+func refBuild(t *testing.T, p Policy, now int64, base *machine.Profile, waiting []*job.Job) []schedule.Entry {
+	ordered := slices.Clone(waiting)
+	slices.SortFunc(ordered, func(a, b *job.Job) int {
+		switch {
+		case p.Less(a, b):
+			return -1
+		case p.Less(b, a):
+			return 1
+		}
+		return 0
+	})
+	prof := base.Clone()
+	var out []schedule.Entry
+	for _, j := range ordered {
+		start, ok := prof.EarliestFit(max(now, j.Submit), j.Estimate, j.Width)
+		if !ok {
+			t.Fatalf("reference: job %d does not fit", j.ID)
+		}
+		if err := prof.Reserve(start, start+j.Estimate, j.Width); err != nil {
+			t.Fatalf("reference: job %d: %v", j.ID, err)
+		}
+		out = append(out, schedule.Entry{Job: j, Start: start})
+	}
+	return out
+}
+
+// One Builder, reused across policies and across bases and queues of
+// different lengths, builds what a fresh Build and the reference list
+// scheduler build, and the schedules it returned earlier stay as they were.
+func TestBuilderReuseMatchesBuild(t *testing.T) {
+	r := stats.NewRand(5)
+	var b Builder
+	type kept struct {
+		s    *schedule.Schedule
+		want []schedule.Entry
+	}
+	var all []kept
+	for round := 0; round < 40; round++ {
+		base := machine.New(32, 0)
+		for k := 0; k < r.Intn(12); k++ {
+			base.Reserve(0, int64(r.Intn(900)+1), r.Intn(6)+1)
+		}
+		now := int64(r.Intn(100))
+		var waiting []*job.Job
+		for k := 0; k < r.Intn(40); k++ {
+			waiting = append(waiting, j(k+1, int64(r.Intn(150)), r.Intn(32)+1, int64(r.Intn(600)+1)))
+		}
+		for _, p := range Extended() {
+			want := refBuild(t, p, now, base, waiting)
+			got, err := b.Build(p, now, base, waiting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Build(p, now, base, waiting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Entries, want) || !slices.Equal(fresh.Entries, want) {
+				t.Fatalf("round %d %s: builder %v, fresh %v, reference %v",
+					round, p.Name(), got.Entries, fresh.Entries, want)
+			}
+			all = append(all, kept{got, want})
+		}
+	}
+	for i, k := range all {
+		if !slices.Equal(k.s.Entries, k.want) {
+			t.Fatalf("schedule %d changed by later builds: %v, was %v", i, k.s.Entries, k.want)
+		}
+	}
+}
+
+// A reused Builder allocates only the Schedule and its Entries.
+func TestBuilderAllocs(t *testing.T) {
+	r := stats.NewRand(99)
+	base := machine.New(430, 0)
+	base.Reserve(0, 7200, 200)
+	var waiting []*job.Job
+	for k := 0; k < 25; k++ {
+		waiting = append(waiting, j(k+1, int64(r.Intn(3600)), r.Intn(64)+1, int64(r.Intn(14400)+60)))
+	}
+	var b Builder
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := b.Build(SJF{}, 3600, base, waiting); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("Builder.Build allocates %.1f objects, want 2 (Schedule and Entries)", n)
 	}
 }
 

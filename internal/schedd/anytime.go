@@ -235,11 +235,7 @@ func (c *Core) predictStart(now int64, width int, est int64) (int64, bool) {
 		}
 	}
 	for _, st := range queued {
-		start, ok := p.EarliestFit(now, st.Estimate, st.Width)
-		if !ok {
-			return 0, false
-		}
-		if p.Reserve(start, start+st.Estimate, st.Width) != nil {
+		if _, ok := p.Place(now, st.Estimate, st.Width); !ok {
 			return 0, false
 		}
 	}

@@ -143,12 +143,9 @@ func (s *Schedule) Compact(base *machine.Profile) (*Schedule, error) {
 		if e.Job.Submit > earliest {
 			earliest = e.Job.Submit
 		}
-		start, ok := p.EarliestFit(earliest, e.Job.Estimate, e.Job.Width)
+		start, ok := p.Place(earliest, e.Job.Estimate, e.Job.Width)
 		if !ok {
 			return nil, fmt.Errorf("schedule: job %d wider than machine", e.Job.ID)
-		}
-		if err := p.Reserve(start, start+e.Job.Estimate, e.Job.Width); err != nil {
-			return nil, fmt.Errorf("schedule: job %d: %v", e.Job.ID, err)
 		}
 		out.Entries = append(out.Entries, Entry{Job: e.Job, Start: start})
 	}

@@ -193,11 +193,11 @@ func TestReuseSeedFiltersAndAppends(t *testing.T) {
 }
 
 // Race-coverage target (run with -race in CI): an ILP-driven simulation
-// with presolve on (the default), the cross-step cache on (the default),
-// concurrent policy evaluation and the parallel branch and bound all at
-// once. Assertions are minimal on purpose — the test exists to put every
-// concurrent component on the same steps.
-func TestILPRunParallelStepsWithPresolveAndCache(t *testing.T) {
+// with presolve on (the default), the cross-step cache on (the default)
+// and the parallel branch and bound all at once. Assertions are minimal
+// on purpose — the test exists to put every concurrent component on the
+// same steps.
+func TestILPRunRaceWithPresolveAndStepCache(t *testing.T) {
 	jobs := make([]*job.Job, 12)
 	for i := range jobs {
 		est := int64(60 + 30*(i%4))
@@ -208,7 +208,7 @@ func TestILPRunParallelStepsWithPresolveAndCache(t *testing.T) {
 	}
 	ilp := ilpConfig(nil)
 	ilp.Pipe.MIP.Workers = 4
-	cfg := &Config{ParallelSteps: true, Metrics: obs.NewRegistry()}
+	cfg := &Config{Metrics: obs.NewRegistry()}
 	res, err := mustSim(t, trace(4, jobs...), ilp, cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -223,11 +223,6 @@ type Config struct {
 	// MaxSteps aborts runaway simulations after that many processed events
 	// (0 = no limit).
 	MaxSteps int
-	// ParallelSteps makes every self-tuning step evaluate its candidate
-	// policies concurrently (dynp.Scheduler.SetParallel). The simulated
-	// results are identical — evaluations are independent and collected
-	// positionally — it only changes wall-clock time.
-	ParallelSteps bool
 	// Trace, if non-nil, receives structured simulator events
 	// (sim.submit, sim.start, sim.end, sim.replan, sim.selftune spans)
 	// and is also attached to the scheduler (dynp.decision, dynp.switch).
@@ -432,9 +427,6 @@ func New(t *job.Trace, s *dynp.Scheduler, cfg Config) (*Simulator, error) {
 	}
 	if cfg.Trace != nil || cfg.Metrics != nil {
 		s.SetObs(cfg.Trace, cfg.Metrics)
-	}
-	if cfg.ParallelSteps {
-		s.SetParallel(true)
 	}
 	for _, j := range t.Jobs {
 		sim.push(event{time: j.Submit, kind: evSubmit, job: j})
