@@ -93,16 +93,18 @@ func BenchmarkSimCrossStepReuse(b *testing.B) {
 func benchReuseSim(b *testing.B, reuse bool) {
 	cfg := sim.DefaultConfig()
 	cfg.ILP = &sim.ILPConfig{
-		Pipe: solvepipe.Config{
-			Budget:     2 * time.Second,
-			Retries:    1,
-			FixedScale: ctcStepScale,
-			Limit:      ilpsched.SizeLimit{MaxVariables: 250000},
-			MIP:        mip.Options{MaxNodes: 3000},
+		StepConfig: solvepipe.StepConfig{
+			Pipe: solvepipe.Config{
+				Budget:     2 * time.Second,
+				Retries:    1,
+				FixedScale: ctcStepScale,
+				Limit:      ilpsched.SizeLimit{MaxVariables: 250000},
+				MIP:        mip.Options{MaxNodes: 3000},
+			},
+			StepCacheOff: !reuse,
+			ReuseOff:     !reuse,
 		},
-		Fallback:     true,
-		StepCacheOff: !reuse,
-		ReuseOff:     !reuse,
+		Fallback: true,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -149,15 +149,17 @@ func main() {
 	}
 	if *ilpDriven {
 		cfg.ILP = &sim.ILPConfig{
-			Pipe: solvepipe.Config{
-				Budget:      *budget,
-				Retries:     *retries,
-				Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
-				MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
-				PresolveOff: !*presolve,
+			StepConfig: solvepipe.StepConfig{
+				Pipe: solvepipe.Config{
+					Budget:      *budget,
+					Retries:     *retries,
+					Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
+					MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
+					PresolveOff: !*presolve,
+				},
+				StepCacheOff: !*stepCache,
 			},
-			Fallback:     *fallback,
-			StepCacheOff: !*stepCache,
+			Fallback: *fallback,
 		}
 	}
 	if *verbose {

@@ -99,6 +99,7 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 64, "max queued submissions coalesced into one replan; batches form while the writer is busy (1 = replan per submission)")
 		rate       = flag.Float64("rate", 0, "per-source admission rate in submissions/s (0 = unlimited)")
 		burst      = flag.Int("burst", 4, "per-source burst size (with -rate)")
+		weightsCS  = flag.String("wfq-weights", "", "comma-separated source=weight pairs scaling one source's -rate and -burst, e.g. batch=1,interactive=4 (with -rate)")
 		ilpDriven  = flag.Bool("ilp", false, "drive replans through the fault-tolerant ILP solve pipeline")
 		workers    = flag.Int("workers", 0, "parallel solve workers (0 = 1, deterministic; with -ilp)")
 		budget     = flag.Duration("solve-budget", 2*time.Second, "per-attempt solve budget of the retry ladder (with -ilp)")
@@ -108,9 +109,6 @@ func main() {
 		stepCache  = flag.Bool("step-cache", true, "answer repeated relative instances from the step cache (with -ilp)")
 		anytimeOn  = flag.Bool("anytime", false, "run the background anytime optimizer: continuous B&B between replans, adopting improved incumbents (with -ilp)")
 		anytimeBud = flag.Duration("anytime-budget", 0, "per-session budget of the anytime optimizer (0 = the -solve-budget)")
-		wfqRate    = flag.Float64("wfq-rate", 0, "aggregate admission rate shared across sources by weighted fair queueing (0 = off; replaces -rate's flat per-source buckets)")
-		wfqBurst   = flag.Int("wfq-burst", 4, "WFQ burst tolerance in weight-1 admission units (with -wfq-rate)")
-		wfqWeights = flag.String("wfq-weights", "", "comma-separated source=weight pairs for WFQ shares, e.g. batch=1,interactive=4 (with -wfq-rate)")
 		sloMargin  = flag.Int64("slo-margin", 0, "safety headroom (virtual seconds) added to the twin's predicted start in deadline admission")
 		faultP     = flag.Float64("inject-faults", 0, "inject solve faults with this probability (with -ilp; testing)")
 		faultSeed  = flag.Uint64("inject-seed", 1, "fault-injection seed (with -inject-faults)")
@@ -162,9 +160,32 @@ func main() {
 	if *anytimeOn && !*ilpDriven {
 		fail(fmt.Errorf("-anytime requires -ilp (the anytime optimizer runs the ILP pipeline)"))
 	}
-	weights, err := parseWeights(*wfqWeights)
+	if *faultP > 0 && !*ilpDriven {
+		fail(fmt.Errorf("-inject-faults requires -ilp (there is no solve pipeline to fault)"))
+	}
+	if *walRepair && *walDir == "" {
+		fail(fmt.Errorf("-wal-repair requires -wal-dir"))
+	}
+	weights, err := parseWeights(*weightsCS)
 	if err != nil {
 		fail(err)
+	}
+	var ilpCfg *schedd.ILPConfig
+	if *ilpDriven {
+		ilpCfg = &schedd.ILPConfig{
+			StepConfig: solvepipe.StepConfig{
+				Pipe: solvepipe.Config{
+					Budget:      *budget,
+					Retries:     *retries,
+					Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
+					MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
+					PresolveOff: !*presolve,
+				},
+				StepCacheOff: !*stepCache,
+			},
+			Anytime:       *anytimeOn,
+			AnytimeBudget: *anytimeBud,
+		}
 	}
 
 	tracer, flush, err := cliutil.OpenTracer("schedd", *traceOut)
@@ -196,14 +217,8 @@ func main() {
 	}
 
 	if *shards > 1 {
-		if *faultP > 0 && !*ilpDriven {
-			fail(fmt.Errorf("-inject-faults requires -ilp (there is no solve pipeline to fault)"))
-		}
 		if *slowShard > 0 && !*ilpDriven {
 			fail(fmt.Errorf("-slow-shard-solve requires -ilp (there is no solve pipeline to slow)"))
-		}
-		if *walRepair && *walDir == "" {
-			fail(fmt.Errorf("-wal-repair requires -wal-dir"))
 		}
 
 		// Each shard is a full core: its own scheduler instance (dynP
@@ -225,9 +240,7 @@ func main() {
 				MaxBatch:      *maxBatch,
 				RatePerSource: *rate / float64(*shards),
 				Burst:         *burst,
-				WFQRate:       *wfqRate / float64(*shards),
-				WFQBurst:      *wfqBurst,
-				WFQWeights:    weights,
+				Weights:       weights,
 				SLOMargin:     *sloMargin,
 				Trace:         tracer,
 				Metrics:       obs.NewRegistry(),
@@ -240,19 +253,8 @@ func main() {
 				PanicHook:         panicDump,
 				PlanLatencyWindow: *rebalWin,
 			}
-			if *ilpDriven {
-				c.ILP = &schedd.ILPConfig{
-					Pipe: solvepipe.Config{
-						Budget:      *budget,
-						Retries:     *retries,
-						Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
-						MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
-						PresolveOff: !*presolve,
-					},
-					StepCacheOff:  !*stepCache,
-					Anytime:       *anytimeOn,
-					AnytimeBudget: *anytimeBud,
-				}
+			if ilpCfg != nil {
+				ilp := *ilpCfg
 				var hook func(solvepipe.SolveFunc) solvepipe.SolveFunc
 				if *faultP > 0 {
 					inj := faultinject.New(faultinject.NewProbability(*faultSeed+uint64(idx), *faultP))
@@ -272,7 +274,8 @@ func main() {
 						}
 					}
 				}
-				c.ILP.Pipe.Hook = hook
+				ilp.Pipe.Hook = hook
+				c.ILP = &ilp
 			}
 			if *walDir != "" {
 				dir := filepath.Join(*walDir, fmt.Sprintf("shard-%d", idx))
@@ -388,9 +391,7 @@ func main() {
 		MaxBatch:      *maxBatch,
 		RatePerSource: *rate,
 		Burst:         *burst,
-		WFQRate:       *wfqRate,
-		WFQBurst:      *wfqBurst,
-		WFQWeights:    weights,
+		Weights:       weights,
 		SLOMargin:     *sloMargin,
 		Trace:         tracer,
 		Metrics:       reg,
@@ -401,27 +402,12 @@ func main() {
 
 		SnapshotEvery: *snapEvery,
 		PanicHook:     panicDump,
+		ILP:           ilpCfg,
 	}
-	if *ilpDriven {
-		cfg.ILP = &schedd.ILPConfig{
-			Pipe: solvepipe.Config{
-				Budget:      *budget,
-				Retries:     *retries,
-				Limit:       ilpsched.SizeLimit{MaxVariables: *maxVars},
-				MIP:         mip.Options{MaxNodes: 200000, Workers: *workers},
-				PresolveOff: !*presolve,
-			},
-			StepCacheOff:  !*stepCache,
-			Anytime:       *anytimeOn,
-			AnytimeBudget: *anytimeBud,
-		}
-		if *faultP > 0 {
-			inj := faultinject.New(faultinject.NewProbability(*faultSeed, *faultP))
-			cfg.ILP.Pipe.Hook = inj.Hook
-			fmt.Fprintf(os.Stderr, "schedd: injecting solve faults with p=%.2f (seed %d)\n", *faultP, *faultSeed)
-		}
-	} else if *faultP > 0 {
-		fail(fmt.Errorf("-inject-faults requires -ilp (there is no solve pipeline to fault)"))
+	if *faultP > 0 {
+		inj := faultinject.New(faultinject.NewProbability(*faultSeed, *faultP))
+		cfg.ILP.Pipe.Hook = inj.Hook
+		fmt.Fprintf(os.Stderr, "schedd: injecting solve faults with p=%.2f (seed %d)\n", *faultP, *faultSeed)
 	}
 
 	var walLog *wal.Log
@@ -442,8 +428,6 @@ func main() {
 			"schedd: WAL open in %s: %d records to replay from seq %d (%d torn bytes truncated, repaired=%d)\n",
 			*walDir, len(cfg.Recovery.Records), cfg.Recovery.SnapshotSeq,
 			cfg.Recovery.TornBytes, cfg.Recovery.Repaired)
-	} else if *walRepair {
-		fail(fmt.Errorf("-wal-repair requires -wal-dir"))
 	}
 
 	core, err = schedd.New(cfg)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/schedule"
 	"repro/internal/sim"
+	"repro/internal/solvepipe"
 	"repro/internal/table"
 )
 
@@ -138,21 +139,9 @@ func (c *Comparator) CompareStep(sc *sim.StepContext) (*Comparison, error) {
 		return nil, nil
 	}
 	best := bestEvaluation(c.Metric, sc.Result.Evals)
-	var horizon int64
-	for _, e := range sc.Result.Evals {
-		if mk := e.Schedule.Makespan(); mk > horizon {
-			horizon = mk
-		}
-	}
-	if horizon <= sc.Now {
+	inst := solvepipe.StepInstance(sc.Now, sc.Base, sc.Waiting, sc.Result)
+	if inst == nil {
 		return nil, nil
-	}
-	inst := &ilpsched.Instance{
-		Now:     sc.Now,
-		Machine: sc.Base.Total(),
-		Base:    sc.Base,
-		Jobs:    sc.Waiting,
-		Horizon: horizon,
 	}
 	scale := c.FixedScale
 	if scale <= 0 {
@@ -167,6 +156,7 @@ func (c *Comparator) CompareStep(sc *sim.StepContext) (*Comparison, error) {
 		BestPolicy:     best.Policy.Name(),
 		PolicyValue:    best.Value,
 	}
+	// Not the step engine: Table 1 reports the unreduced model's size and compute time.
 	start := time.Now()
 	model, err := ilpsched.Build(inst, scale)
 	if err != nil {

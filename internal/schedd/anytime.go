@@ -152,7 +152,7 @@ func (c *Core) adoptAnytime() *anytime.Plan {
 		Policy: c.cfg.Scheduler.Current().Name(), Outcome: "ok",
 	}
 	plannedBefore := len(c.newlyPlanned)
-	c.lastILP = plan.Schedule // the next step's reuse seed
+	c.stepper.SetReuseSeed(plan.Schedule)
 	c.degraded, c.degReason = false, ""
 	c.adoptPlan(c.vnow, plan.Schedule, false)
 	c.appendPlanWAL("anytime", c.vnow, 0, false, "", c.newlyPlanned[plannedBefore:])

@@ -161,10 +161,10 @@ func TestAnytimeSLODrill(t *testing.T) {
 			// background core — the "CPLEX keeps improving the active
 			// plan" mode of §4, with the self-tuning step reduced to
 			// keeping the plan fresh.
-			Pipe: solvepipe.Config{
+			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 				Budget: time.Millisecond,
 				MIP:    mip.Options{MaxNodes: 200000},
-			},
+			}},
 			Anytime:       true,
 			AnytimeBudget: 2 * time.Second,
 		},
@@ -292,11 +292,11 @@ func TestAnytimeAdoptionRace(t *testing.T) {
 			// fault outright) leave suboptimal plans behind on purpose:
 			// the background optimizer then has real improvements to
 			// race the writer with.
-			Pipe: solvepipe.Config{
+			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 				Budget: 2 * time.Millisecond,
 				MIP:    mip.Options{MaxNodes: 200000},
 				Hook:   inj.Hook,
-			},
+			}},
 			Anytime:       true,
 			AnytimeBudget: 300 * time.Millisecond,
 		},

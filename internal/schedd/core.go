@@ -219,19 +219,12 @@ type Snapshot struct {
 }
 
 // ILPConfig enables ILP-driven steps: every self-tuning step is solved
-// through the solvepipe retry ladder and the compacted optimal schedule
+// through the solvepipe step engine and the compacted optimal schedule
 // replaces the basic-policy one. Unlike sim.ILPConfig there is no
 // abort-on-failure mode: a serving process always degrades gracefully.
+// The shared fields default per step like in the simulator.
 type ILPConfig struct {
-	// Pipe parameterizes the retry ladder; Trace/Metrics/Seed/Cache
-	// default per step like in the simulator.
-	Pipe solvepipe.Config
-	// StepCacheOff disables the cross-step solution cache.
-	StepCacheOff bool
-	// StepCacheSize overrides the cache capacity (default 64).
-	StepCacheSize int
-	// ReuseOff disables seeding from the previous step's ILP schedule.
-	ReuseOff bool
+	solvepipe.StepConfig
 	// Anytime runs the background anytime-optimizer core alongside the
 	// per-step solves: the branch and bound keeps improving the adopted
 	// plan between replan intervals, and every strictly better validated
@@ -262,24 +255,14 @@ type Config struct {
 	MaxBatch int
 	// RatePerSource, if > 0, enforces a per-source token bucket of this
 	// many submissions per wall second with the given Burst (default 1).
+	// Every source has its own bucket: the admitted total grows with the
+	// number of sources.
 	RatePerSource float64
 	Burst         int
-	// WFQRate, if > 0, replaces the flat per-source token bucket with
-	// weighted fair queueing across sources: the aggregate admission
-	// rate (submissions per wall second) is shared by virtual-time fair
-	// queueing, so a lone source may use the whole rate while
-	// concurrent sources converge to weighted fair shares instead of
-	// each being capped at a fixed slice. Takes precedence over
-	// RatePerSource when both are set.
-	WFQRate float64
-	// WFQBurst is the fair queue's tolerance in admissions (default 1):
-	// how far a source's virtual finish may run ahead of the aggregate
-	// virtual clock before it is rejected with Retry-After.
-	WFQBurst int
-	// WFQWeights maps source names to relative weights (default 1.0
-	// for unlisted sources): a weight-2 source gets twice the share
-	// under contention.
-	WFQWeights map[string]float64
+	// Weights scales the bucket of the named sources (default 1.0 for
+	// unlisted sources): a weight-w source is admitted at w·RatePerSource
+	// with a burst of w·Burst.
+	Weights map[string]float64
 	// SLOMargin is the safety headroom (virtual seconds) the digital
 	// twin adds to its predicted start before comparing it against a
 	// submission's deadline. The prediction is exact only at admission
@@ -384,8 +367,7 @@ type Core struct {
 	cfg     Config
 	clock   Clock
 	total   int
-	limiter *rateLimiter
-	wfq     *wfqLimiter
+	limiter *limiter
 
 	submitCh chan *submission
 	drainCh  chan chan *Snapshot
@@ -432,8 +414,7 @@ type Core struct {
 	recs      map[int]*rec
 	running   map[int]*rec
 	plan      map[int]int64
-	stepCache *solvepipe.StepCache
-	lastILP   *schedule.Schedule
+	stepper   *solvepipe.Stepper // ILP-driven steps only
 	version   int64
 	counts    Counters
 	degraded  bool
@@ -527,8 +508,7 @@ func New(cfg Config) (*Core, error) {
 		cfg:        cfg,
 		clock:      cfg.Clock,
 		total:      cfg.Machine,
-		limiter:    newRateLimiter(cfg.RatePerSource, cfg.Burst),
-		wfq:        newWFQLimiter(cfg.WFQRate, cfg.WFQBurst, cfg.WFQWeights),
+		limiter:    newLimiter(cfg.RatePerSource, cfg.Burst, cfg.Weights),
 		submitCh:   make(chan *submission, cfg.QueueBound),
 		drainCh:    make(chan chan *Snapshot),
 		loopDone:   make(chan struct{}),
@@ -545,8 +525,8 @@ func New(cfg Config) (*Core, error) {
 		// log (Start flips the phase to ready once recovery finishes).
 		c.phase.Store(phaseReplaying)
 	}
-	if cfg.ILP != nil && !cfg.ILP.StepCacheOff && cfg.ILP.Pipe.Cache == nil {
-		c.stepCache = solvepipe.NewStepCache(cfg.ILP.StepCacheSize)
+	if cfg.ILP != nil {
+		c.stepper = solvepipe.NewStepper(cfg.ILP.StepConfig, cfg.Metrics)
 	}
 	c.recorder = newFlightRecorder(cfg.ReplanBuffer)
 	c.trace = cfg.Trace
@@ -679,15 +659,7 @@ func (c *Core) SubmitCtx(ctx context.Context, req SubmitRequest) (SubmitResponse
 			return c.dedupResponse(v.(int), trace), nil
 		}
 	}
-	if c.wfq != nil {
-		// Weighted fair queueing across sources: the aggregate rate is
-		// shared by virtual-time fairness instead of flat per-source
-		// buckets.
-		if ok, wait := c.wfq.allow(req.Source, time.Now()); !ok {
-			c.cRejectRate.Inc()
-			return SubmitResponse{}, &RateLimitedError{Source: req.Source, RetryAfter: wait}
-		}
-	} else if ok, wait := c.limiter.allow(req.Source, time.Now()); !ok {
+	if ok, wait := c.limiter.allow(req.Source, time.Now()); !ok {
 		c.cRejectRate.Inc()
 		return SubmitResponse{}, &RateLimitedError{Source: req.Source, RetryAfter: wait}
 	}
@@ -1338,7 +1310,7 @@ func (c *Core) failStep(reason string) {
 	c.trace.Emit("schedd.step.failed", obs.Int("t", c.vnow), obs.Str("reason", reason))
 }
 
-// ilpSchedule drives one step through the solve pipeline, always
+// ilpSchedule drives one step through the step engine, always
 // degrading to the basic-policy schedule on failure. It returns the
 // schedule to adopt, the degradation flag, the bounded-cardinality
 // reason class plus free-form detail, and the pipeline outcome (nil
@@ -1346,74 +1318,30 @@ func (c *Core) failStep(reason string) {
 // down into the MIP solve spans; tr is the (possibly sampled-off)
 // tracer for solver-internal events.
 func (c *Core) ilpSchedule(ctx context.Context, tr *obs.Tracer, now int64, res *dynp.StepResult, waiting []*job.Job, base *machine.Profile) (*schedule.Schedule, bool, string, string, *solvepipe.Outcome) {
-	var horizon int64
-	for _, e := range res.Evals {
-		if mk := e.Schedule.Makespan(); mk > horizon {
-			horizon = mk
-		}
+	sch, out, kind, err := c.stepper.Step(ctx, tr, now, base, waiting, res)
+	switch {
+	case errors.Is(err, solvepipe.ErrInvalidSchedule):
+		return sch, true, "invalid_schedule", err.Error(), out
+	case err != nil:
+		class := kind.String()
+		return sch, true, class, fmt.Sprintf("%s: %v (%d attempts)", class, err, len(out.Attempts)), out
+	case out == nil:
+		return sch, false, "", "", nil // every waiting job starts now
 	}
-	if horizon <= now {
-		return res.Schedule, false, "", "", nil // every waiting job starts now
+	// SLO guard: the solver minimizes the aggregate objective with no
+	// notion of per-job deadlines, so its reordering may push an
+	// admitted job past the deadline the twin admitted it under. When
+	// the basic-policy schedule keeps every deadline and the ILP one
+	// does not, serve the policy schedule — a kept SLO beats a better
+	// Eq. 2 objective. (Both busting is still adopted and latched
+	// honestly as a miss.)
+	if n := c.sloConflicts(sch); n > 0 && c.sloConflicts(res.Schedule) == 0 {
+		c.cSLOGuard.Inc()
+		tr.Emit("step.slo_guard",
+			obs.Int("t", now), obs.Int("conflicts", int64(n)))
+		return res.Schedule, false, "", "", out
 	}
-	inst := &ilpsched.Instance{
-		Now:     now,
-		Machine: base.Total(),
-		Base:    base,
-		Jobs:    waiting,
-		Horizon: horizon,
-	}
-	pipe := c.cfg.ILP.Pipe
-	if pipe.Trace == nil {
-		pipe.Trace = tr
-	}
-	if pipe.Metrics == nil {
-		pipe.Metrics = c.cfg.Metrics
-	}
-	if pipe.Seed == nil {
-		pipe.Seed = res.Schedule
-	}
-	if pipe.Cache == nil {
-		pipe.Cache = c.stepCache
-	}
-	if pipe.ReuseSeed == nil && !c.cfg.ILP.ReuseOff {
-		pipe.ReuseSeed = solvepipe.ReuseSeed(c.lastILP, waiting, now, c.total)
-	}
-	out := solvepipe.Solve(ctx, pipe, inst)
-	if !out.Failed() {
-		sch := out.Solution.Compacted
-		if verr := sch.Validate(base); verr == nil {
-			c.lastILP = sch
-			// SLO guard: the solver minimizes the aggregate objective with
-			// no notion of per-job deadlines, so its reordering may push an
-			// admitted job past the deadline the twin admitted it under.
-			// When the basic-policy schedule keeps every deadline and the
-			// ILP one does not, serve the policy schedule — a kept SLO
-			// beats a better Eq. 2 objective. (Both busting is still
-			// adopted and latched honestly as a miss.)
-			if n := c.sloConflicts(sch); n > 0 && c.sloConflicts(res.Schedule) == 0 {
-				c.cSLOGuard.Inc()
-				tr.Emit("step.slo_guard",
-					obs.Int("t", now), obs.Int("conflicts", int64(n)))
-				return res.Schedule, false, "", "", out
-			}
-			return sch, false, "", "", out
-		} else {
-			c.lastILP = nil
-			return res.Schedule, true, "invalid_schedule", fmt.Sprintf("infeasible ILP schedule: %v", verr), out
-		}
-	}
-	c.lastILP = nil // a degraded step's schedule must never seed reuse
-	class := out.LastFailure().String()
-	reason := class
-	if out.Err != nil {
-		reason = fmt.Sprintf("%s: %v (%d attempts)", reason, out.Err, len(out.Attempts))
-	}
-	tr.Emit("solve.fallback",
-		obs.Int("t", now),
-		obs.Str("cause", out.LastFailure().String()),
-		obs.Int("attempts", int64(len(out.Attempts))),
-		obs.Str("policy", res.Chosen.Name()))
-	return res.Schedule, true, class, reason, out
+	return sch, false, "", "", out
 }
 
 // replan rebuilds the plan with the active policy after completions.

@@ -310,12 +310,12 @@ func TestILPStepDegradationSurfaced(t *testing.T) {
 		Machine: 16,
 		Clock:   NewManualClock(0),
 		ILP: &ILPConfig{
-			Pipe: solvepipe.Config{
+			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 				Budget:  2 * time.Second,
 				Retries: 1,
 				MIP:     mip.Options{MaxNodes: 1000},
 				Hook:    inj.Hook,
-			},
+			}},
 		},
 	})
 	r1, err := c.Submit(SubmitRequest{Width: 16, Estimate: 500})
@@ -345,11 +345,11 @@ func TestILPStepSolvesWhenHealthy(t *testing.T) {
 		Machine: 8,
 		Clock:   NewManualClock(0),
 		ILP: &ILPConfig{
-			Pipe: solvepipe.Config{
+			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 				Budget:  5 * time.Second,
 				Retries: 1,
 				MIP:     mip.Options{MaxNodes: 20000},
-			},
+			}},
 		},
 	})
 	for i := 0; i < 6; i++ {

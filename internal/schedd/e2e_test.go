@@ -54,11 +54,11 @@ func TestServingE2EWithFaults(t *testing.T) {
 		MaxBatch:     64,
 		ReplanBuffer: 4096, // keep every replan of the run for the assertions below
 		ILP: &schedd.ILPConfig{
-			Pipe: solvepipe.Config{
+			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 				Budget: 500 * time.Millisecond,
 				MIP:    mip.Options{MaxNodes: 50000},
 				Hook:   inj.Hook,
-			},
+			}},
 		},
 		Metrics: obs.NewRegistry(),
 	})

@@ -89,12 +89,12 @@ func TestRecorderCapturesDegradedReplan(t *testing.T) {
 		Clock:   NewManualClock(0),
 		Metrics: reg,
 		ILP: &ILPConfig{
-			Pipe: solvepipe.Config{
+			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 				Budget:  2 * time.Second,
 				Retries: 1,
 				MIP:     mip.Options{MaxNodes: 1000},
 				Hook:    inj.Hook,
-			},
+			}},
 		},
 	})
 	if _, err := c.Submit(SubmitRequest{Width: 16, Estimate: 500}); err != nil {

@@ -127,10 +127,10 @@ func anytimeFactory(t testing.TB, accel float64) CoreFactory {
 			QueueBound: 64,
 			MaxBatch:   16,
 			ILP: &schedd.ILPConfig{
-				Pipe: solvepipe.Config{
+				StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 					Budget: time.Millisecond,
 					MIP:    mip.Options{MaxNodes: 200000},
-				},
+				}},
 				Anytime:       true,
 				AnytimeBudget: time.Second,
 			},

@@ -104,11 +104,11 @@ func TestShardedServingE2EWithFaults(t *testing.T) {
 			QueueBound: 1024,
 			MaxBatch:   64,
 			ILP: &schedd.ILPConfig{
-				Pipe: solvepipe.Config{
+				StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 					Budget: 500 * time.Millisecond,
 					MIP:    mip.Options{MaxNodes: 50000},
 					Hook:   injectors[idx].Hook,
-				},
+				}},
 			},
 			Metrics: obs.NewRegistry(),
 		}, nil

@@ -41,13 +41,13 @@ func slowShardHook(warm time.Duration) (func(solvepipe.SolveFunc) solvepipe.Solv
 }
 
 func ilpCfg(hook func(solvepipe.SolveFunc) solvepipe.SolveFunc) *schedd.ILPConfig {
-	return &schedd.ILPConfig{Pipe: solvepipe.Config{
+	return &schedd.ILPConfig{StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 		// A budget far past the test horizon: the ladder must never time
 		// a parked solve out and plan the job behind the test's back.
 		Budget: 120 * time.Second,
 		MIP:    mip.Options{MaxNodes: 50000},
 		Hook:   hook,
-	}}
+	}}}
 }
 
 // TestStealQueuedWidthFilter: a queued job wider than the target's

@@ -31,13 +31,13 @@ func wholeMachineTrace(n int, procs int) *job.Trace {
 
 func ilpConfig(hook func(solvepipe.SolveFunc) solvepipe.SolveFunc) *ILPConfig {
 	return &ILPConfig{
-		Pipe: solvepipe.Config{
+		StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
 			Budget:     2 * time.Second,
 			Retries:    0, // one solve call per step: call index == step index
 			FixedScale: 50,
 			MIP:        mip.Options{MaxNodes: 2000},
 			Hook:       hook,
-		},
+		}},
 		Fallback: true,
 	}
 }

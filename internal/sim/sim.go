@@ -16,7 +16,6 @@ import (
 	"slices"
 
 	"repro/internal/dynp"
-	"repro/internal/ilpsched"
 	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -159,35 +158,21 @@ type StepFailure struct {
 }
 
 // ILPConfig makes the simulation adopt solve-pipeline schedules: every
-// self-tuning step extracts the quasi off-line instance and solves the
-// time-indexed ILP through the internal/solvepipe retry ladder; the
+// self-tuning step runs through the solvepipe step engine, and the
 // compacted optimal schedule replaces the basic-policy schedule. (The
 // paper computes these schedules observationally; this mode is the
 // "what if CPLEX actually drove the machine" experiment, which is only
 // viable with the fault tolerance this configuration provides.)
+// Pipe.Trace/Pipe.Metrics default to the simulation's sinks; Pipe.Seed
+// defaults per step to the chosen basic-policy schedule.
 type ILPConfig struct {
-	// Pipe parameterizes the retry ladder. Pipe.Trace/Pipe.Metrics
-	// default to the simulation's sinks; Pipe.Seed defaults per step to
-	// the chosen basic-policy schedule.
-	Pipe solvepipe.Config
+	solvepipe.StepConfig
 	// Fallback degrades a step whose ladder is exhausted to the chosen
-	// basic-policy schedule (recorded in Result.Failures and the
-	// "solve.fallback" trace event). When false such a step aborts the
-	// simulation — only sensible in experiments that must not degrade.
+	// basic-policy schedule (recorded in Result.Failures). When false
+	// such a step aborts the simulation — only sensible in experiments
+	// that must not degrade. Either way the step engine emits a
+	// "solve.fallback" trace event for the failed step.
 	Fallback bool
-	// StepCacheOff disables the cross-step solution cache. By default
-	// every ILP-driven run carries a solvepipe.StepCache: steps whose
-	// relative instance fingerprint matches an already-solved one adopt
-	// the rebased cached schedule without building or solving a model.
-	// Only successful solves populate the cache (a fallback step cannot
-	// poison it), and each hit is re-validated against the live profile.
-	StepCacheOff bool
-	// StepCacheSize overrides the cache capacity (default 64 entries).
-	StepCacheSize int
-	// ReuseOff disables seeding each step's branch and bound with the
-	// previous step's compacted ILP schedule (on by default; the seed is
-	// only an incumbent candidate and never changes the proven optimum).
-	ReuseOff bool
 }
 
 // Reservation is an advance reservation: Width processors are promised to
@@ -353,9 +338,7 @@ type Simulator struct {
 
 	result Result
 
-	// Cross-step reuse state (ILP-driven runs only).
-	stepCache *solvepipe.StepCache
-	lastILP   *schedule.Schedule // last successfully adopted ILP schedule
+	stepper *solvepipe.Stepper // ILP-driven runs only
 
 	// Observability sinks (all nil-safe no-ops when disabled).
 	trace       *obs.Tracer
@@ -409,8 +392,8 @@ func New(t *job.Trace, s *dynp.Scheduler, cfg Config) (*Simulator, error) {
 		firstSubmit: -1,
 	}
 	sim.result.PolicyUse = map[string]int{}
-	if cfg.ILP != nil && !cfg.ILP.StepCacheOff && cfg.ILP.Pipe.Cache == nil {
-		sim.stepCache = solvepipe.NewStepCache(cfg.ILP.StepCacheSize)
+	if cfg.ILP != nil {
+		sim.stepper = solvepipe.NewStepper(cfg.ILP.StepConfig, cfg.Metrics)
 	}
 	sim.trace = cfg.Trace
 	if reg := cfg.Metrics; reg != nil {
@@ -590,44 +573,15 @@ func (s *Simulator) selfTune(submitted *job.Job) error {
 	return nil
 }
 
-// ilpSchedule runs one step's quasi off-line instance through the solve
-// pipeline and returns the schedule to adopt. On ladder exhaustion it
-// degrades to the chosen basic-policy schedule (Config.ILP.Fallback) or
-// aborts; a canceled context always aborts.
+// ilpSchedule runs one step through the step engine and returns the
+// schedule to adopt. On ladder exhaustion it degrades to the chosen
+// basic-policy schedule (Config.ILP.Fallback) or aborts; a canceled
+// context always aborts.
 func (s *Simulator) ilpSchedule(res *dynp.StepResult, waiting []*job.Job, base *machine.Profile) (*schedule.Schedule, *ILPStepInfo, error) {
-	var horizon int64
-	for _, e := range res.Evals {
-		if mk := e.Schedule.Makespan(); mk > horizon {
-			horizon = mk
-		}
+	sch, out, failKind, err := s.stepper.Step(s.ctx, s.trace, s.clock, base, waiting, res)
+	if out == nil {
+		return sch, nil, nil // every waiting job starts now
 	}
-	if horizon <= s.clock {
-		return res.Schedule, nil, nil // every waiting job starts now
-	}
-	inst := &ilpsched.Instance{
-		Now:     s.clock,
-		Machine: base.Total(),
-		Base:    base,
-		Jobs:    waiting,
-		Horizon: horizon,
-	}
-	pipe := s.cfg.ILP.Pipe
-	if pipe.Trace == nil {
-		pipe.Trace = s.trace
-	}
-	if pipe.Metrics == nil {
-		pipe.Metrics = s.cfg.Metrics
-	}
-	if pipe.Seed == nil {
-		pipe.Seed = res.Schedule
-	}
-	if pipe.Cache == nil {
-		pipe.Cache = s.stepCache
-	}
-	if pipe.ReuseSeed == nil && !s.cfg.ILP.ReuseOff {
-		pipe.ReuseSeed = solvepipe.ReuseSeed(s.lastILP, waiting, s.clock, s.total)
-	}
-	out := solvepipe.Solve(s.ctx, pipe, inst)
 	s.result.ILPSteps++
 	s.result.ILPRetries += out.Retries()
 	if out.CacheHit {
@@ -637,46 +591,29 @@ func (s *Simulator) ilpSchedule(res *dynp.StepResult, waiting []*job.Job, base *
 		s.result.ILPReusedIncumbents++
 	}
 	info := &ILPStepInfo{Outcome: out}
-	failKind, failErr := out.LastFailure(), out.Err
-	if !out.Failed() {
-		sch := out.Solution.Compacted
-		if verr := sch.Validate(base); verr == nil {
-			s.lastILP = sch
-			if out.CacheHit {
-				s.vStepOut.With("cache_hit").Inc()
-			} else {
-				s.vStepOut.With("ok").Inc()
-			}
-			return sch, info, nil
+	switch {
+	case err == nil:
+		if out.CacheHit {
+			s.vStepOut.With("cache_hit").Inc()
 		} else {
-			// A solver bug, not an instance property: degrade like any
-			// other failure so one bad step cannot kill the run.
-			failKind = solvepipe.FailError
-			failErr = fmt.Errorf("sim: step at %d: infeasible ILP schedule: %v", s.clock, verr)
+			s.vStepOut.With("ok").Inc()
 		}
-	}
-	if failKind == solvepipe.FailCanceled {
-		return nil, nil, fmt.Errorf("sim: step at %d: %w", s.clock, failErr)
-	}
-	if !s.cfg.ILP.Fallback {
-		return nil, nil, fmt.Errorf("sim: step at %d: solve pipeline failed: %w", s.clock, failErr)
+		return sch, info, nil
+	case failKind == solvepipe.FailCanceled:
+		return nil, nil, fmt.Errorf("sim: step at %d: %w", s.clock, err)
+	case !s.cfg.ILP.Fallback:
+		return nil, nil, fmt.Errorf("sim: step at %d: solve pipeline failed: %w", s.clock, err)
 	}
 	info.Fallback = true
-	s.lastILP = nil // a degraded step's schedule must never seed reuse
 	s.result.ILPFallbacks++
 	s.cFallbacks.Inc()
 	s.vStepOut.With("fallback").Inc()
 	s.vFallback.With(failKind.String()).Inc()
 	s.result.Failures = append(s.result.Failures, StepFailure{
 		Time: s.clock, Kind: failKind, Attempts: len(out.Attempts),
-		Err: failErr.Error(),
+		Err: err.Error(),
 	})
-	s.trace.Emit("solve.fallback",
-		obs.Int("t", s.clock),
-		obs.Str("cause", failKind.String()),
-		obs.Int("attempts", int64(len(out.Attempts))),
-		obs.Str("policy", res.Chosen.Name()))
-	return res.Schedule, info, nil
+	return sch, info, nil
 }
 
 // replan rebuilds the plan with the active policy, without self-tuning.

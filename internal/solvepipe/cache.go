@@ -22,7 +22,6 @@ package solvepipe
 import (
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"repro/internal/ilpsched"
 	"repro/internal/job"
@@ -30,16 +29,14 @@ import (
 	"repro/internal/schedule"
 )
 
-// StepCache is a bounded FIFO cache of step solutions, safe for
-// concurrent use. The zero value is not usable; construct with
-// NewStepCache.
-type StepCache struct {
-	mu    sync.Mutex
-	max   int
+// stepCacheSize is the capacity of a Stepper's step cache.
+const stepCacheSize = 64
+
+// stepCache is a bounded FIFO cache of step solutions. It belongs to one
+// Stepper and, like it, is not safe for concurrent use.
+type stepCache struct {
 	order []uint64
 	byKey map[uint64]*cacheEntry
-	hits  int64
-	puts  int64
 }
 
 // cacheShape is one job of a cached solution: its model-relevant shape
@@ -55,35 +52,6 @@ type cacheEntry struct {
 	scale  int64
 	shapes []cacheShape // sorted by shapeLess
 	mip    *mip.Result  // telemetry of the original solve
-}
-
-// NewStepCache returns a cache holding at most max solutions (default 64
-// when max <= 0).
-func NewStepCache(max int) *StepCache {
-	if max <= 0 {
-		max = 64
-	}
-	return &StepCache{max: max, byKey: make(map[uint64]*cacheEntry)}
-}
-
-// Hits returns the number of successful lookups served so far.
-func (c *StepCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Len returns the number of cached solutions.
-func (c *StepCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
 }
 
 func shapeLess(a, b cacheShape) bool {
@@ -143,8 +111,8 @@ func Fingerprint(inst *ilpsched.Instance) uint64 {
 }
 
 // put stores a successful solve keyed by the instance fingerprint.
-func (c *StepCache) put(key uint64, inst *ilpsched.Instance, scale int64, sol *ilpsched.Solution) {
-	if c == nil || sol == nil || sol.Grid == nil {
+func (c *stepCache) put(key uint64, inst *ilpsched.Instance, scale int64, sol *ilpsched.Solution) {
+	if sol == nil || sol.Grid == nil {
 		return
 	}
 	shapes := make([]cacheShape, 0, len(sol.Grid.Entries))
@@ -156,17 +124,14 @@ func (c *StepCache) put(key uint64, inst *ilpsched.Instance, scale int64, sol *i
 		})
 	}
 	sort.Slice(shapes, func(a, b int) bool { return shapeLess(shapes[a], shapes[b]) })
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.byKey[key]; !ok {
-		for len(c.order) >= c.max {
+		for len(c.order) >= stepCacheSize {
 			delete(c.byKey, c.order[0])
 			c.order = c.order[1:]
 		}
 		c.order = append(c.order, key)
 	}
 	c.byKey[key] = &cacheEntry{scale: scale, shapes: shapes, mip: sol.MIP}
-	c.puts++
 }
 
 // get rebases a cached solution onto the instance: current jobs are
@@ -174,13 +139,8 @@ func (c *StepCache) put(key uint64, inst *ilpsched.Instance, scale int64, sol *i
 // verified, guarding against fingerprint collisions), starts are shifted
 // to the current step instant, the grid schedule is validated against
 // the current base profile and compacted. Returns nil on any mismatch.
-func (c *StepCache) get(key uint64, inst *ilpsched.Instance) (*ilpsched.Solution, int64) {
-	if c == nil {
-		return nil, 0
-	}
-	c.mu.Lock()
+func (c *stepCache) get(key uint64, inst *ilpsched.Instance) (*ilpsched.Solution, int64) {
 	entry := c.byKey[key]
-	c.mu.Unlock()
 	if entry == nil || len(entry.shapes) != len(inst.Jobs) {
 		return nil, 0
 	}
@@ -221,57 +181,5 @@ func (c *StepCache) get(key uint64, inst *ilpsched.Instance) (*ilpsched.Solution
 		Grid:      grid,
 		Compacted: compacted,
 	}
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
 	return sol, entry.scale
-}
-
-// ReuseSeed derives a Config.ReuseSeed candidate from the last adopted
-// ILP schedule: its entries restricted to the jobs still waiting, with
-// jobs that arrived since appended behind them in submission order. Only
-// the relative order matters downstream (IncumbentFromSchedule and the
-// presolve upper-bound seeds list-schedule in start order), so the
-// appended entries just need starts that sort last. It returns nil when
-// nothing of the last schedule is still waiting.
-func ReuseSeed(last *schedule.Schedule, waiting []*job.Job, now int64, total int) *schedule.Schedule {
-	if last == nil || len(last.Entries) == 0 {
-		return nil
-	}
-	waitingByID := make(map[int]bool, len(waiting))
-	for _, j := range waiting {
-		waitingByID[j.ID] = true
-	}
-	seed := &schedule.Schedule{Policy: "reuse", Now: now, Machine: total}
-	kept := make(map[int]bool, len(last.Entries))
-	maxStart := now
-	for _, e := range last.Entries {
-		if !waitingByID[e.Job.ID] {
-			continue // started or otherwise departed since
-		}
-		kept[e.Job.ID] = true
-		seed.Entries = append(seed.Entries, e)
-		if e.Start > maxStart {
-			maxStart = e.Start
-		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	fresh := make([]*job.Job, 0, len(waiting)-len(kept))
-	for _, j := range waiting {
-		if !kept[j.ID] {
-			fresh = append(fresh, j)
-		}
-	}
-	sort.Slice(fresh, func(i, k int) bool {
-		if fresh[i].Submit != fresh[k].Submit {
-			return fresh[i].Submit < fresh[k].Submit
-		}
-		return fresh[i].ID < fresh[k].ID
-	})
-	for k, j := range fresh {
-		seed.Entries = append(seed.Entries, schedule.Entry{Job: j, Start: maxStart + int64(k) + 1})
-	}
-	return seed
 }

@@ -11,8 +11,8 @@
 // infeasibility, or by a recovered solver panic — all of which are
 // retryable. A done caller context is a hard stop and is never retried.
 // When every rung fails, the Outcome carries the full per-attempt
-// provenance so the caller (internal/sim) can degrade gracefully to the
-// best basic-policy schedule instead of dying mid-simulation.
+// provenance, and the step engine (Stepper, step.go) degrades the step
+// to the chosen basic-policy schedule instead of failing the run.
 package solvepipe
 
 import (
@@ -117,8 +117,8 @@ type Outcome struct {
 	Attempts []Attempt
 	// Err is the last rung's error when Solution is nil.
 	Err error
-	// CacheHit reports the solution was served from Config.Cache without
-	// building or solving a model.
+	// CacheHit reports the solution was served from a Stepper's step
+	// cache without building or solving a model.
 	CacheHit bool
 	// IncumbentReused reports that some rung seeded its incumbent from
 	// Config.ReuseSeed rather than Config.Seed.
@@ -190,11 +190,6 @@ type Config struct {
 	// *reduced* model, so instances that presolve makes tractable are no
 	// longer rejected.
 	PresolveOff bool
-	// Cache, if non-nil, short-circuits steps whose fingerprint matches
-	// a previously solved one (see Fingerprint). Only successful
-	// pipeline outcomes are stored; failed or degraded steps never
-	// populate it.
-	Cache *StepCache
 	// Hook, if non-nil, wraps the base SolveFunc with middleware. This
 	// is the fault-injection seam used by internal/faultinject; it also
 	// admits caching or logging middleware.
@@ -252,25 +247,27 @@ func Classify(ctx context.Context, err error) FailureKind {
 // panics are recovered into *PanicError and classified like any other
 // rung failure. The returned Outcome is non-nil even on total failure.
 func Solve(ctx context.Context, cfg Config, inst *ilpsched.Instance) *Outcome {
+	return solve(ctx, cfg, inst, nil)
+}
+
+// solve is Solve with an optional step cache (see Stepper): a cached
+// fingerprint short-circuits the ladder, and only successful outcomes
+// are stored, so a failed or degraded step never populates it.
+func solve(ctx context.Context, cfg Config, inst *ilpsched.Instance, cache *stepCache) *Outcome {
 	cfg = cfg.withDefaults()
 	var key uint64
-	if cfg.Cache != nil {
+	if cache != nil {
 		key = Fingerprint(inst)
-		if sol, scale := cfg.Cache.get(key, inst); sol != nil {
+		if sol, scale := cache.get(key, inst); sol != nil {
 			cfg.Metrics.Counter("step.cache.hits").Inc()
 			cfg.Trace.Emit("solve.cache.hit", obs.Int("scale", scale))
 			return &Outcome{Solution: sol, Scale: scale, CacheHit: true}
 		}
 	}
-	scale := cfg.FixedScale
-	if scale <= 0 {
-		scale = cfg.Scaling.TimeScale(inst)
-	}
+	scale := cfg.firstScale(inst)
 	budget := cfg.Budget
 	out := &Outcome{}
-	attempts := cfg.Metrics.CounterVec("solve.attempts", "failure")
 	for rung := 0; ; rung++ {
-		att := Attempt{Scale: scale, Budget: budget}
 		// The attempt is a span (begin/end pair), so the rung's solver
 		// internals (mip.solve, lp spans) nest under it in the trace; the
 		// end event carries the classified failure. A trace ID on ctx
@@ -285,26 +282,14 @@ func Solve(ctx context.Context, cfg Config, inst *ilpsched.Instance) *Outcome {
 			spanFields = append(spanFields, obs.Str("trace", tid))
 		}
 		span := cfg.Trace.StartSpan("solve.attempt", spanFields...)
-		start := time.Now()
-		sol, rs, err := solveOnce(ctx, cfg, inst, scale, budget)
-		att.Elapsed = time.Since(start)
-		att.Err = err
-		att.Failure = Classify(ctx, err)
-		out.Attempts = append(out.Attempts, att)
-		if rs.incumbentReused {
-			out.IncumbentReused = true
-		}
-		span.End(obs.Str("failure", att.Failure.String()))
-		attempts.With(att.Failure.String()).Inc()
-		if err == nil {
-			out.Solution, out.Scale, out.Presolve = sol, scale, rs.presolve
-			if cfg.Cache != nil {
-				cfg.Cache.put(key, inst, scale, sol)
+		att := out.attempt(ctx, cfg, inst, scale, budget, span, nil, nil)
+		if att.Err == nil {
+			if cache != nil {
+				cache.put(key, inst, scale, out.Solution)
 			}
 			return out
 		}
 		if !att.Failure.Retryable() || rung >= cfg.Retries {
-			out.Err = err
 			return out
 		}
 		scale = nextScale(scale, cfg.ScaleFactor, cfg.Scaling.RoundTo)
@@ -318,17 +303,46 @@ func Solve(ctx context.Context, cfg Config, inst *ilpsched.Instance) *Outcome {
 	}
 }
 
-// rungStats carries per-rung provenance out of solveOnce.
+// firstScale is the time-scaling factor of the first rung.
+func (c Config) firstScale(inst *ilpsched.Instance) int64 {
+	if c.FixedScale > 0 {
+		return c.FixedScale
+	}
+	return c.Scaling.TimeScale(inst)
+}
+
+// attempt runs one rung inside span and records it on the outcome: the
+// Attempt, the reuse flag, the "solve.attempts" counter, and the
+// solution or the error.
+func (o *Outcome) attempt(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale int64, budget time.Duration, span *obs.Span, stop func() bool, onImproved func(AnytimeIncumbent)) Attempt {
+	start := time.Now()
+	sol, rs, err := solveRung(ctx, cfg, inst, scale, budget, stop, onImproved)
+	att := Attempt{Scale: scale, Budget: budget, Failure: Classify(ctx, err), Err: err, Elapsed: time.Since(start)}
+	o.Attempts = append(o.Attempts, att)
+	o.IncumbentReused = o.IncumbentReused || rs.incumbentReused
+	span.End(obs.Str("failure", att.Failure.String()))
+	cfg.Metrics.CounterVec("solve.attempts", "failure").With(att.Failure.String()).Inc()
+	if err == nil {
+		o.Solution, o.Scale, o.Presolve = sol, scale, rs.presolve
+	}
+	o.Err = err
+	return att
+}
+
+// rungStats carries per-rung provenance out of solveRung.
 type rungStats struct {
 	presolve        *ilpsched.PresolveStats
 	incumbentReused bool
 }
 
-// solveOnce runs one rung: guarded build (presolved unless PresolveOff),
+// solveRung runs one rung: guarded build (presolved unless PresolveOff),
 // incumbent seeding from the better of Seed and ReuseSeed, then the
 // (possibly hook-wrapped) solve under the rung budget, with panic
-// containment around the whole rung.
-func solveOnce(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale int64, budget time.Duration) (sol *ilpsched.Solution, rs rungStats, err error) {
+// containment around the whole rung. stop, if non-nil, is polled at the
+// solver's checkpoints; onImproved, if non-nil, receives every strictly
+// improving incumbent decoded to a full-instance solution.
+func solveRung(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale int64, budget time.Duration, stop func() bool, onImproved func(AnytimeIncumbent)) (sol *ilpsched.Solution, rs rungStats, err error) {
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			sol, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -358,6 +372,9 @@ func solveOnce(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale i
 	}
 	opt := cfg.MIP
 	opt.TimeLimit = budget
+	if stop != nil {
+		opt.Stop = stop
+	}
 	// Solver-internal observability (mip.nodes, mip.workers.active,
 	// lp.warmstart.hits, ...) flows into the pipeline's sinks unless the
 	// caller wired dedicated ones into the MIP options.
@@ -392,126 +409,6 @@ func solveOnce(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale i
 	}
 	if rs.incumbentReused {
 		cfg.Metrics.Counter("step.incumbent.reused").Inc()
-	}
-	fn := SolveFunc(func(ctx context.Context, m *ilpsched.Model, opt mip.Options) (*ilpsched.Solution, error) {
-		return m.SolveCtx(ctx, opt)
-	})
-	if cfg.Hook != nil {
-		fn = cfg.Hook(fn)
-	}
-	sol, err = fn(ctx, m, opt)
-	return sol, rs, err
-}
-
-// AnytimeIncumbent is one improved incumbent streamed out of an anytime
-// solve: the decoded full-instance solution plus when it was found.
-type AnytimeIncumbent struct {
-	// Solution carries the decoded grid and §3.2-compacted schedules.
-	Solution *ilpsched.Solution
-	// Objective is the full Eq. 2 objective including the presolve
-	// offset (Solution.Objective, hoisted for cheap comparison).
-	Objective float64
-	// At is the wall-clock offset from the anytime solve's start.
-	At time.Duration
-}
-
-// SolveAnytime runs a single long solve (no retry ladder) that streams
-// every strictly improving incumbent through onImproved as the branch
-// and bound finds it, instead of answering only at the end. stop is
-// polled at the solver's counter-gated checkpoint: returning true
-// preempts the search cooperatively, keeping the best incumbent (this
-// is how the anytime core aborts a solve the moment the queue changes).
-// onImproved runs on a solver worker goroutine under the solver's
-// incumbent lock — it must be fast and must never block; decode
-// failures of individual incumbents are skipped, not fatal. The final
-// Outcome mirrors Solve's shape (single attempt, cache never consulted:
-// an anytime session outlives any one fingerprint).
-func SolveAnytime(ctx context.Context, cfg Config, inst *ilpsched.Instance, stop func() bool, onImproved func(AnytimeIncumbent)) *Outcome {
-	cfg = cfg.withDefaults()
-	scale := cfg.FixedScale
-	if scale <= 0 {
-		scale = cfg.Scaling.TimeScale(inst)
-	}
-	out := &Outcome{}
-	att := Attempt{Scale: scale, Budget: cfg.Budget}
-	span := cfg.Trace.StartSpan("solve.anytime",
-		obs.Int("scale", scale),
-		obs.Int("budget_ms", cfg.Budget.Milliseconds()))
-	start := time.Now()
-	sol, rs, err := anytimeOnce(ctx, cfg, inst, scale, stop, start, onImproved)
-	att.Elapsed = time.Since(start)
-	att.Err = err
-	att.Failure = Classify(ctx, err)
-	out.Attempts = append(out.Attempts, att)
-	out.IncumbentReused = rs.incumbentReused
-	span.End(obs.Str("failure", att.Failure.String()))
-	cfg.Metrics.CounterVec("solve.attempts", "failure").With(att.Failure.String()).Inc()
-	if err == nil {
-		out.Solution, out.Scale, out.Presolve = sol, scale, rs.presolve
-	} else {
-		out.Err = err
-	}
-	return out
-}
-
-// anytimeOnce is solveOnce with incumbent streaming and a cooperative
-// stop wired into the MIP options.
-func anytimeOnce(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale int64, stop func() bool, start time.Time, onImproved func(AnytimeIncumbent)) (sol *ilpsched.Solution, rs rungStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sol, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	var m *ilpsched.Model
-	if cfg.PresolveOff {
-		m, err = ilpsched.BuildGuarded(inst, scale, cfg.Limit)
-	} else {
-		var seeds []*schedule.Schedule
-		if cfg.Seed != nil {
-			seeds = append(seeds, cfg.Seed)
-		}
-		if cfg.ReuseSeed != nil {
-			seeds = append(seeds, cfg.ReuseSeed)
-		}
-		var st *ilpsched.PresolveStats
-		m, st, err = ilpsched.BuildPresolvedGuarded(inst, scale, cfg.Limit, ilpsched.PresolveOptions{Seeds: seeds})
-		if err == nil {
-			rs.presolve = st
-		}
-	}
-	if err != nil {
-		return nil, rs, err
-	}
-	opt := cfg.MIP
-	opt.TimeLimit = cfg.Budget
-	opt.Stop = stop
-	if opt.Trace == nil {
-		opt.Trace = cfg.Trace
-	}
-	if opt.Metrics == nil {
-		opt.Metrics = cfg.Metrics
-	}
-	var chosen []float64
-	bestObj := 0.0
-	for _, cand := range []struct {
-		s       *schedule.Schedule
-		isReuse bool
-	}{{cfg.Seed, false}, {cfg.ReuseSeed, true}} {
-		if cand.s == nil {
-			continue
-		}
-		inc, serr := m.IncumbentFromSchedule(cand.s)
-		if serr != nil {
-			continue
-		}
-		obj := m.ObjectiveOfVector(inc)
-		if chosen == nil || obj < bestObj {
-			chosen, bestObj = inc, obj
-			rs.incumbentReused = cand.isReuse
-		}
-	}
-	if chosen != nil {
-		opt.Incumbent = chosen
 	}
 	if onImproved != nil {
 		var streamedBest float64
@@ -548,6 +445,40 @@ func anytimeOnce(ctx context.Context, cfg Config, inst *ilpsched.Instance, scale
 	}
 	sol, err = fn(ctx, m, opt)
 	return sol, rs, err
+}
+
+// AnytimeIncumbent is one improved incumbent streamed out of an anytime
+// solve: the decoded full-instance solution plus when it was found.
+type AnytimeIncumbent struct {
+	// Solution carries the decoded grid and §3.2-compacted schedules.
+	Solution *ilpsched.Solution
+	// Objective is the full Eq. 2 objective including the presolve
+	// offset (Solution.Objective, hoisted for cheap comparison).
+	Objective float64
+	// At is the wall-clock offset from the anytime solve's start.
+	At time.Duration
+}
+
+// SolveAnytime runs a single long solve (no retry ladder) that streams
+// every strictly improving incumbent through onImproved as the branch
+// and bound finds it, instead of answering only at the end. stop is
+// polled at the solver's counter-gated checkpoint: returning true
+// preempts the search cooperatively, keeping the best incumbent (this
+// is how the anytime core aborts a solve the moment the queue changes).
+// onImproved runs on a solver worker goroutine under the solver's
+// incumbent lock — it must be fast and must never block; decode
+// failures of individual incumbents are skipped, not fatal. The final
+// Outcome mirrors Solve's shape (single attempt, cache never consulted:
+// an anytime session outlives any one fingerprint).
+func SolveAnytime(ctx context.Context, cfg Config, inst *ilpsched.Instance, stop func() bool, onImproved func(AnytimeIncumbent)) *Outcome {
+	cfg = cfg.withDefaults()
+	scale := cfg.firstScale(inst)
+	span := cfg.Trace.StartSpan("solve.anytime",
+		obs.Int("scale", scale),
+		obs.Int("budget_ms", cfg.Budget.Milliseconds()))
+	out := &Outcome{}
+	out.attempt(ctx, cfg, inst, scale, cfg.Budget, span, stop, onImproved)
+	return out
 }
 
 // nextScale coarsens the grid for the next rung: multiply by factor,

@@ -326,3 +326,42 @@ func TestSeededRungSurvivesTinyBudget(t *testing.T) {
 		t.Fatalf("seeded pipeline failed: %v", out.Err)
 	}
 }
+
+// An anytime session builds its model through the same rung as the
+// ladder, so it counts the presolve reductions exactly as Solve does.
+func TestSolveAnytimeCountsPresolve(t *testing.T) {
+	i := smallInst()
+	m, err := ilpsched.Build(i, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := m.Solve(mip.Options{MaxNodes: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(run func(solvepipe.Config)) (fixed, rows int64) {
+		reg := obs.NewRegistry()
+		c := cfg()
+		c.Seed = sol.Compacted
+		c.Metrics = reg
+		run(c)
+		return reg.Counter("presolve.vars.fixed").Value(), reg.Counter("presolve.rows.removed").Value()
+	}
+	wantFixed, wantRows := counts(func(c solvepipe.Config) {
+		if out := solvepipe.Solve(context.Background(), c, i); out.Failed() {
+			t.Fatalf("Solve failed: %v", out.Err)
+		}
+	})
+	if wantFixed == 0 || wantRows == 0 {
+		t.Fatalf("test premise broken: presolve fixed %d vars and removed %d rows", wantFixed, wantRows)
+	}
+	gotFixed, gotRows := counts(func(c solvepipe.Config) {
+		if out := solvepipe.SolveAnytime(context.Background(), c, i, nil, nil); out.Failed() {
+			t.Fatalf("SolveAnytime failed: %v", out.Err)
+		}
+	})
+	if gotFixed != wantFixed || gotRows != wantRows {
+		t.Fatalf("SolveAnytime counted %d fixed vars and %d removed rows, Solve %d and %d",
+			gotFixed, gotRows, wantFixed, wantRows)
+	}
+}
