@@ -16,12 +16,14 @@
 package ilpsched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/job"
 	"repro/internal/lp"
@@ -519,11 +521,12 @@ func (m *Model) ObjectiveOfVector(x []float64) float64 {
 func (m *Model) col(i, t int) int { return m.varOf[i] + (t - m.minSlot[i]) }
 
 // gridListSchedule places jobs in the given index order at their earliest
-// grid-feasible slot and returns the corresponding 0/1 vector, or ok=false
-// if some job does not fit (cannot happen with the built-in horizon slack).
-func (m *Model) gridListSchedule(order []int) ([]float64, bool) {
-	capLeft := append([]int(nil), m.capacity...)
-	x := make([]float64, m.prob.NumVariables())
+// grid-feasible slot and writes the corresponding 0/1 vector into x (len
+// NumVariables). capLeft is scratch of len Slots. It reports false if
+// some job does not fit (cannot happen with the built-in horizon slack).
+func (m *Model) gridListSchedule(order, capLeft []int, x []float64) bool {
+	copy(capLeft, m.capacity)
+	clear(x)
 	for _, i := range order {
 		jb := m.jobs[i]
 		placed := false
@@ -545,41 +548,58 @@ func (m *Model) gridListSchedule(order []int) ([]float64, bool) {
 			}
 		}
 		if !placed {
-			return nil, false
+			return false
 		}
 	}
-	return x, true
+	return true
+}
+
+// heuristicScratch is the working set of one Heuristic call. The
+// Heuristic keeps a pool of them because with Workers > 1 the branch and
+// bound calls it concurrently.
+type heuristicScratch struct {
+	mean    []float64
+	order   []int
+	capLeft []int
 }
 
 // Heuristic returns the rounding heuristic for branch and bound: jobs are
 // ordered by the fractional mean start slot of the LP relaxation and
-// list-scheduled on the grid.
+// list-scheduled on the grid. Each call returns a new vector; everything
+// else it needs comes from a pool.
 func (m *Model) Heuristic() mip.Heuristic {
+	pool := sync.Pool{New: func() any {
+		return &heuristicScratch{mean: make([]float64, len(m.jobs)), order: make([]int, len(m.jobs)),
+			capLeft: make([]int, len(m.capacity))}
+	}}
 	return func(relax []float64) ([]float64, bool) {
-		n := len(m.jobs)
-		mean := make([]float64, n)
-		for i := 0; i < n; i++ {
+		sc := pool.Get().(*heuristicScratch)
+		defer pool.Put(sc)
+		mean, order := sc.mean, sc.order
+		for i := range m.jobs {
 			var s, tot float64
 			for t := m.minSlot[i]; t <= m.maxSlot[i]; t++ {
 				v := relax[m.col(i, t)]
 				s += v * float64(t)
 				tot += v
 			}
+			mean[i] = 0
 			if tot > 0 {
 				mean[i] = s / tot
 			}
-		}
-		order := make([]int, n)
-		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool {
-			if mean[order[a]] != mean[order[b]] {
-				return mean[order[a]] < mean[order[b]]
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(mean[a], mean[b]); c != 0 {
+				return c
 			}
-			return m.jobs[order[a]].ID < m.jobs[order[b]].ID
+			return cmp.Compare(m.jobs[a].ID, m.jobs[b].ID)
 		})
-		return m.gridListSchedule(order)
+		x := make([]float64, m.prob.NumVariables())
+		if !m.gridListSchedule(order, sc.capLeft, x) {
+			return nil, false
+		}
+		return x, true
 	}
 }
 
@@ -611,24 +631,23 @@ func (m *Model) Brancher() mip.Brancher {
 		if pick < 0 {
 			return nil // integral: fall back (mip will not branch anyway)
 		}
+		lo, hi := m.minSlot[pick], m.maxSlot[pick]
 		theta := int(math.Floor(pickMean))
-		if theta < m.minSlot[pick] {
-			theta = m.minSlot[pick]
+		if theta < lo {
+			theta = lo
 		}
-		if theta >= m.maxSlot[pick] {
-			theta = m.maxSlot[pick] - 1
+		if theta >= hi {
+			theta = hi - 1
 		}
-		var left, right []mip.Bound
-		for t := m.minSlot[pick]; t <= m.maxSlot[pick]; t++ {
-			if t <= theta {
-				right = append(right, mip.Bound{Col: m.col(pick, t), Lo: 0, Hi: 0})
-			} else {
-				left = append(left, mip.Bound{Col: m.col(pick, t), Lo: 0, Hi: 0})
-			}
+		// One backing array for both children: slots lo..theta, then the
+		// rest. The left child (start <= theta) forbids the late part, the
+		// right child (start > theta) the early part.
+		window := make([]mip.Bound, hi-lo+1)
+		for t := lo; t <= hi; t++ {
+			window[t-lo] = mip.Bound{Col: m.col(pick, t), Lo: 0, Hi: 0}
 		}
-		// left child: start <= theta (forbid the late half);
-		// right child: start > theta (forbid the early half).
-		return [][]mip.Bound{left, right}
+		k := theta - lo + 1
+		return [][]mip.Bound{window[k:], window[:k:k]}
 	}
 }
 
@@ -665,8 +684,8 @@ func (m *Model) IncumbentFromSchedule(s *schedule.Schedule) ([]float64, error) {
 		return nil, fmt.Errorf("ilpsched: schedule has %d modeled jobs, model %d", len(order), len(m.jobs))
 	}
 	m.canonicalizeGroups(order)
-	x, ok := m.gridListSchedule(order)
-	if !ok {
+	x := make([]float64, m.prob.NumVariables())
+	if !m.gridListSchedule(order, make([]int, len(m.capacity)), x) {
 		return nil, fmt.Errorf("ilpsched: schedule order does not fit the grid")
 	}
 	return x, nil

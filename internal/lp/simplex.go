@@ -81,7 +81,7 @@ type Result struct {
 	X          []float64 // structural variable values (valid for Optimal)
 	Duals      []float64 // row dual values y (valid for Optimal)
 	Iterations int
-	Basis      *Basis // warm-start information (valid for Optimal)
+	Basis      *Basis // warm-start information (valid for Optimal; nil from Workspace.SolveFrom)
 	// Refactorizations counts basis-inverse rebuilds from scratch.
 	Refactorizations int
 	// DegeneratePivots counts pivots with a (near-)zero step length, the
@@ -159,23 +159,24 @@ type factorCoef struct {
 	val float64
 }
 
-// scratch is the reusable per-solve allocation set of a simplex. A
-// branch-and-bound run performs thousands of short LP solves; without
-// reuse every one of them allocates the m×m inverse, the column-state
-// vectors and the pivot work arrays from scratch. The pool hands each
-// solve (including concurrent ones from the parallel branch-and-bound
-// workers) an exclusive scratch; release() returns it after the Result —
-// which never aliases scratch memory — has been extracted.
+// scratch is the reusable allocation set of a simplex. A branch-and-bound
+// run performs thousands of short LP solves; without reuse every one of
+// them allocates the column-state vectors, the pivot work arrays, the LU
+// factors and the solution vectors from scratch. A Workspace owns one
+// scratch and hands it to each solve it runs; release() writes back the
+// slices a solve grew.
 type scratch struct {
 	cost, lo, hi, structCost []float64
 	stat                     []colStatus
 	acols                    [][]nz
 	slack                    []nz // one {row, +1} entry per slack column
+	art                      []nz // one {row, ±1} entry per artificial, indexed by row
 	basis                    []int
 	binv, xB                 []float64
 	y, w, rho, tmp           []float64
 	artRow                   []int
 	artSign                  []float64
+	movable                  []int // see movableCols
 
 	// factorize() temporaries.
 	posOfRow, structPos, rv, rvIdx []int
@@ -185,9 +186,28 @@ type scratch struct {
 	// lu is the sparse basis factorization, lazily created and reused
 	// across the solves this scratch serves.
 	lu *luFactor
+
+	// res and xd back the Result of the last solve: X is xd[:n] and
+	// Duals is xd[n:].
+	res Result
+	xd  []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// Workspace holds the buffers of a sequence of LP solves: the simplex
+// state, its factorization and the solution vectors. Once the buffers have
+// grown to the problem's size a solve on a Workspace allocates nothing,
+// which is what a branch-and-bound worker needs: it solves one relaxation
+// per node. A Workspace is not safe for concurrent use; give each
+// goroutine its own. The zero value is ready to use.
+type Workspace struct {
+	sc scratch
+	s  simplex
+}
+
+// workspacePool serves the one-shot solves (Problem.Solve, SolveFrom and
+// their Ctx forms), which copy their Result out before returning the
+// Workspace.
+var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
 
 // growF returns buf resized to n, reallocating only when the capacity is
 // too small. Contents are unspecified; callers overwrite what they read.
@@ -314,11 +334,14 @@ func (s *simplex) cancelErr() error {
 	return newCanceled(context.Cause(s.ctx))
 }
 
-func newSimplex(p *Problem, opt Options) *simplex {
+// start initializes the Workspace's simplex for one solve of p. Every
+// field is reset; only the scratch buffers carry over.
+func (ws *Workspace) start(p *Problem, opt Options) *simplex {
 	p.coalesce()
 	m, n := p.NumConstraints(), p.NumVariables()
-	sc := scratchPool.Get().(*scratch)
-	s := &simplex{p: p, m: m, n: n, opt: opt, sc: sc}
+	sc := &ws.sc
+	s := &ws.s
+	*s = simplex{p: p, m: m, n: n, opt: opt, sc: sc}
 	nc := n + m
 	s.cost = growF(sc.cost, nc)
 	s.lo = growF(sc.lo, nc)
@@ -351,12 +374,13 @@ func newSimplex(p *Problem, opt Options) *simplex {
 		sc.slack[i] = nz{row: i, val: 1}
 		s.acols[n+i] = sc.slack[i : i+1 : i+1]
 	}
+	sc.art = growNZ(sc.art, m)
 	s.basis = growI(sc.basis, m)
 	s.dense = opt.DenseBasis
 	if s.dense {
 		s.binv = growF(sc.binv, m*m)
 	} else {
-		s.binv = sc.binv // untouched; preserves pooled capacity for dense users
+		s.binv = sc.binv // untouched; preserves capacity for dense users
 		if sc.lu == nil {
 			sc.lu = newLUFactor()
 		}
@@ -374,15 +398,17 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	return s
 }
 
-// release returns the solve's scratch allocations to the pool. It must
-// run after the Result has been extracted; Results never alias scratch
-// memory (X, Duals and Basis are freshly allocated by extract).
+// release writes the solve's (possibly regrown) slices back to the
+// scratch and drops the references to the problem and the context. The
+// final column statuses and basis rows stay readable for
+// Workspace.Basis.
 func (s *simplex) release() {
 	sc := s.sc
 	if sc == nil {
 		return
 	}
 	s.sc = nil
+	s.p, s.ctx = nil, nil
 	sc.cost, sc.lo, sc.hi, sc.structCost = s.cost, s.lo, s.hi, s.structCost
 	sc.stat = s.stat
 	sc.acols = s.acols
@@ -392,7 +418,6 @@ func (s *simplex) release() {
 	sc.basis, sc.binv, sc.xB = s.basis, s.binv, s.xB
 	sc.y, sc.w, sc.rho, sc.tmp = s.y, s.w, s.rho, s.tmp
 	sc.artRow, sc.artSign = s.artRow, s.artSign
-	scratchPool.Put(sc)
 }
 
 func (s *simplex) ncols() int { return s.n + s.m + len(s.artRow) }
@@ -936,6 +961,21 @@ func (s *simplex) pivotSparse(r, j int) {
 	}
 }
 
+// movableCols lists, in column order, the columns whose bounds do not fix
+// them: the only ones pricing can pick. Bounds stay put within one
+// primal() or dual() run, so each builds the list once instead of
+// testing every column on every iteration.
+func (s *simplex) movableCols() []int {
+	movable := s.sc.movable[:0]
+	for j := 0; j < s.ncols(); j++ {
+		if s.hi[j]-s.lo[j] > 0 || s.stat[j] == freeNB {
+			movable = append(movable, j)
+		}
+	}
+	s.sc.movable = movable
+	return movable
+}
+
 // primal runs primal simplex iterations under the current costs until
 // optimality, unboundedness or the iteration limit.
 func (s *simplex) primal() Status {
@@ -944,6 +984,7 @@ func (s *simplex) primal() Status {
 	dtol := s.opt.Tol
 	s.stall, s.bland = 0, false
 	s.lastObj = math.Inf(1)
+	movable := s.movableCols()
 	for {
 		if s.iters >= s.opt.MaxIters {
 			return IterationLimit
@@ -956,13 +997,10 @@ func (s *simplex) primal() Status {
 		// Entering column selection.
 		enter, bestScore := -1, dtol
 		var enterSigma float64
-		for j := 0; j < s.ncols(); j++ {
+		for _, j := range movable {
 			st := s.stat[j]
 			if st == isBasic {
 				continue
-			}
-			if s.hi[j]-s.lo[j] <= 0 && st != freeNB {
-				continue // fixed column can never improve
 			}
 			d := s.reduced(j, y)
 			var sigma float64
@@ -1070,35 +1108,27 @@ func (s *simplex) primal() Status {
 	}
 }
 
-// primalInfeasibility returns the largest bound violation of the basis.
-func (s *simplex) primalInfeasibility() (worst float64, row int) {
+// infeasibility returns the sum of all basic bound violations (the
+// dual's primal progress measure used for stall detection) and the
+// largest one with its row (-1 when the basis is primal feasible).
+func (s *simplex) infeasibility() (sum, worst float64, row int) {
 	row = -1
-	for i := 0; i < s.m; i++ {
-		bj := s.basis[i]
-		if v := s.lo[bj] - s.xB[i]; v > worst {
-			worst, row = v, i
-		}
-		if v := s.xB[i] - s.hi[bj]; v > worst {
-			worst, row = v, i
-		}
-	}
-	return worst, row
-}
-
-// totalInfeasibility sums all basic bound violations (the dual's primal
-// progress measure used for stall detection).
-func (s *simplex) totalInfeasibility() float64 {
-	var sum float64
 	for i := 0; i < s.m; i++ {
 		bj := s.basis[i]
 		if v := s.lo[bj] - s.xB[i]; v > 0 {
 			sum += v
+			if v > worst {
+				worst, row = v, i
+			}
 		}
 		if v := s.xB[i] - s.hi[bj]; v > 0 {
 			sum += v
+			if v > worst {
+				worst, row = v, i
+			}
 		}
 	}
-	return sum
+	return sum, worst, row
 }
 
 // dual runs dual simplex iterations until primal feasibility (returning
@@ -1108,12 +1138,18 @@ func (s *simplex) totalInfeasibility() float64 {
 // bound-flipping ratio test for boxed variables). A stall guard bails out
 // with IterationLimit when the total infeasibility stops decreasing, so
 // the caller can fall back to the two-phase primal.
+//
+// On entry s.y must hold the duals of the current basis, as dualFeasible
+// leaves them. They are recomputed only after the basis or its
+// factorization changes: a bound flip leaves both alone.
 func (s *simplex) dual() Status {
 	m := s.m
 	y, rho, w := s.y, s.rho, s.w
 	tol := s.opt.Tol
 	stall := 0
 	lastInf := math.Inf(1)
+	yFresh := true
+	movable := s.movableCols()
 	for {
 		if s.iters >= s.opt.MaxIters {
 			return IterationLimit
@@ -1122,7 +1158,8 @@ func (s *simplex) dual() Status {
 			return IterationLimit
 		}
 		s.iters++
-		if inf := s.totalInfeasibility(); inf < lastInf-tol {
+		inf, viol, r := s.infeasibility()
+		if inf < lastInf-tol {
 			lastInf, stall = inf, 0
 		} else {
 			stall++
@@ -1130,7 +1167,6 @@ func (s *simplex) dual() Status {
 				return IterationLimit // cycling/stalling: let primal take over
 			}
 		}
-		viol, r := s.primalInfeasibility()
 		if r < 0 || viol <= tol {
 			return Optimal
 		}
@@ -1143,25 +1179,25 @@ func (s *simplex) dual() Status {
 			bound = s.hi[bj]
 		}
 		s.basisRow(r, rho)
-		s.duals(y)
+		if !yFresh {
+			s.duals(y)
+			yFresh = true
+		}
 
-		// Dual ratio test.
+		// Dual ratio test. The pivot-row entry alpha decides eligibility,
+		// so the reduced cost d is priced only for the candidates that
+		// pass (a minority of the nonbasic columns).
 		enter := -1
 		bestRatio := math.Inf(1)
 		var bestAlpha float64
-		for j := 0; j < s.ncols(); j++ {
+		for _, j := range movable {
 			st := s.stat[j]
 			if st == isBasic {
 				continue
 			}
-			if s.hi[j]-s.lo[j] <= 0 && st != freeNB {
-				continue
-			}
-			var alpha, d float64
-			d = s.cost[j]
+			var alpha float64
 			for _, e := range s.acols[j] {
 				alpha += rho[e.row] * e.val
-				d -= y[e.row] * e.val
 			}
 			if math.Abs(alpha) < 1e-9 {
 				continue
@@ -1180,7 +1216,7 @@ func (s *simplex) dual() Status {
 					continue
 				}
 			}
-			ratio := math.Abs(d) / math.Abs(alpha)
+			ratio := math.Abs(s.reduced(j, y)) / math.Abs(alpha)
 			if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 &&
 				(enter < 0 || math.Abs(alpha) > math.Abs(bestAlpha))) {
 				bestRatio, enter, bestAlpha = ratio, j, alpha
@@ -1222,6 +1258,7 @@ func (s *simplex) dual() Status {
 			if !s.factorize() {
 				return IterationLimit
 			}
+			yFresh = false
 			continue
 		}
 		leavingStat := atUpper
@@ -1229,6 +1266,7 @@ func (s *simplex) dual() Status {
 			leavingStat = atLower
 		}
 		s.pivot(r, enter, w, t, sigma, leavingStat)
+		yFresh = false
 		if s.broken {
 			return IterationLimit
 		}
@@ -1264,7 +1302,8 @@ func (s *simplex) installPhase1() bool {
 		}
 		s.artRow = append(s.artRow, i)
 		s.artSign = append(s.artSign, sign)
-		s.acols = append(s.acols, []nz{{row: i, val: sign}})
+		s.sc.art[i] = nz{row: i, val: sign}
+		s.acols = append(s.acols, s.sc.art[i:i+1:i+1])
 		s.cost = append(s.cost, 0)
 		s.lo = append(s.lo, 0)
 		s.hi = append(s.hi, Inf)
@@ -1303,21 +1342,23 @@ func (s *simplex) finishPhase1() {
 	copy(s.cost, s.structCost)
 }
 
-// extract builds the Result from the final state.
+// extract builds the Result from the final state in the scratch's
+// Result and solution buffers; the Workspace owns both.
 func (s *simplex) extract(st Status) *Result {
-	res := &Result{Status: st, Iterations: s.iters,
+	res := &s.sc.res
+	*res = Result{Status: st, Iterations: s.iters,
 		Refactorizations: s.refacts, DegeneratePivots: s.degen, BoundFlips: s.flips,
 		EtaUpdates: s.etaUp, FTUpdates: s.ftUp, LUFill: s.luFillSoFar(),
 		RefactorsTriggered: s.refactsTrig}
 	if st != Optimal {
 		return res
 	}
-	// X and Duals share one backing allocation: extract runs once per LP
-	// solve, and branch-and-bound performs thousands of them.
-	xd := make([]float64, s.n+s.m)
+	xd := growF(s.sc.xd, s.n+s.m)
+	s.sc.xd = xd
 	x := xd[:s.n:s.n]
 	for j := 0; j < s.n; j++ {
 		if s.stat[j] == isBasic {
+			x[j] = 0
 			continue
 		}
 		x[j] = s.nbVal(j)
@@ -1335,9 +1376,16 @@ func (s *simplex) extract(st Status) *Result {
 	res.X = x
 	res.Duals = xd[s.n:]
 	s.duals(res.Duals)
-	// Export the basis over structural+slack columns. If an artificial is
-	// still basic (redundant row), record the row's slack instead; a
-	// warm start will re-factorize and fall back on singularity.
+	return res
+}
+
+// Basis exports the final basis of the Workspace's last solve over the
+// structural and slack columns. It is valid only after a solve that
+// returned Optimal, and allocates a new Basis each call. If an artificial
+// is still basic (redundant row), the row's slack is recorded instead; a
+// warm start will re-factorize and fall back on singularity.
+func (ws *Workspace) Basis() *Basis {
+	s := &ws.s
 	b := &Basis{stat: make([]colStatus, s.n+s.m), rows: make([]int, s.m)}
 	copy(b.stat, s.stat[:s.n+s.m])
 	for i := 0; i < s.m; i++ {
@@ -1348,8 +1396,7 @@ func (s *simplex) extract(st Status) *Result {
 		}
 		b.rows[i] = col
 	}
-	res.Basis = b
-	return res
+	return b
 }
 
 // Solve optimizes the problem from a cold (all-slack) start.
@@ -1361,47 +1408,7 @@ func (p *Problem) Solve(opt Options) (*Result, error) {
 // ctx every cancelCheckEvery iterations and abort with a *CanceledError
 // when it is done. The problem is left unchanged by an aborted solve.
 func (p *Problem) SolveCtx(ctx context.Context, opt Options) (*Result, error) {
-	res, err := traceSolve(ctx, p, opt, func() (*Result, error) {
-		return p.solveCtx(ctx, opt)
-	})
-	return res, err
-}
-
-func (p *Problem) solveCtx(ctx context.Context, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	s := newSimplex(p, opt)
-	defer s.release()
-	s.ctx = ctx
-	s.coldBasis()
-	return s.run()
-}
-
-// traceSolve wraps solve in an "lp.solve" span when opt.Trace is set;
-// with a nil tracer it is a direct call with zero overhead.
-func traceSolve(ctx context.Context, p *Problem, opt Options, solve func() (*Result, error)) (*Result, error) {
-	if opt.Trace == nil {
-		return solve()
-	}
-	fields := []obs.Field{
-		obs.Int("cols", int64(p.NumVariables())),
-		obs.Int("rows", int64(p.NumConstraints())),
-	}
-	if tid := obs.TraceIDFrom(ctx); tid != "" {
-		fields = append(fields, obs.Str("trace", tid))
-	}
-	span := opt.Trace.StartSpan("lp.solve", fields...)
-	res, err := solve()
-	if err != nil {
-		span.End(obs.Str("status", "error"))
-		return res, err
-	}
-	span.End(obs.Str("status", res.Status.String()),
-		obs.Int("iters", int64(res.Iterations)),
-		obs.Bool("warm", res.WarmStarted))
-	return res, err
+	return p.SolveFromCtx(ctx, nil, opt)
 }
 
 // SolveFrom optimizes the problem warm-starting from basis (typically the
@@ -1413,18 +1420,57 @@ func (p *Problem) SolveFrom(basis *Basis, opt Options) (*Result, error) {
 }
 
 // SolveFromCtx is SolveFrom with cooperative cancellation (see SolveCtx).
+// The Result owns its X, Duals and (for Optimal) Basis.
 func (p *Problem) SolveFromCtx(ctx context.Context, basis *Basis, opt Options) (*Result, error) {
-	return traceSolve(ctx, p, opt, func() (*Result, error) {
-		return p.solveFromCtx(ctx, basis, opt)
-	})
+	ws := workspacePool.Get().(*Workspace)
+	defer workspacePool.Put(ws)
+	res, err := ws.SolveFrom(ctx, p, basis, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := *res
+	if res.Status == Optimal {
+		xd := append([]float64(nil), ws.sc.xd...)
+		out.X, out.Duals = xd[:len(res.X):len(res.X)], xd[len(res.X):]
+		out.Basis = ws.Basis()
+	}
+	return &out, nil
 }
 
-func (p *Problem) solveFromCtx(ctx context.Context, basis *Basis, opt Options) (*Result, error) {
+// SolveFrom is Problem.SolveFromCtx on the Workspace's buffers. The
+// Result, its X and its Duals belong to the Workspace and are overwritten
+// by its next solve; Result.Basis is nil, and Workspace.Basis exports the
+// final basis when a caller needs one.
+func (ws *Workspace) SolveFrom(ctx context.Context, p *Problem, basis *Basis, opt Options) (*Result, error) {
+	if opt.Trace == nil {
+		return ws.solve(ctx, p, basis, opt)
+	}
+	// An "lp.solve" span around the solve.
+	fields := []obs.Field{
+		obs.Int("cols", int64(p.NumVariables())),
+		obs.Int("rows", int64(p.NumConstraints())),
+	}
+	if tid := obs.TraceIDFrom(ctx); tid != "" {
+		fields = append(fields, obs.Str("trace", tid))
+	}
+	span := opt.Trace.StartSpan("lp.solve", fields...)
+	res, err := ws.solve(ctx, p, basis, opt)
+	if err != nil {
+		span.End(obs.Str("status", "error"))
+		return res, err
+	}
+	span.End(obs.Str("status", res.Status.String()),
+		obs.Int("iters", int64(res.Iterations)),
+		obs.Bool("warm", res.WarmStarted))
+	return res, err
+}
+
+func (ws *Workspace) solve(ctx context.Context, p *Problem, basis *Basis, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := newSimplex(p, opt)
+	s := ws.start(p, opt)
 	defer s.release()
 	s.ctx = ctx
 	if basis == nil || len(basis.stat) != s.n+s.m || len(basis.rows) != s.m {
@@ -1493,16 +1539,19 @@ func (p *Problem) solveFromCtx(ctx context.Context, basis *Basis, opt Options) (
 		}
 		// Limit/unbounded oddity from the repaired basis: go cold below.
 	}
-	// Fall back to a cold two-phase primal solve; carry the telemetry of
-	// the abandoned warm attempt so the counters stay truthful (the
-	// iteration budget is intentionally per-attempt, as before).
-	s2 := newSimplex(p, opt)
-	defer s2.release()
-	s2.ctx = s.ctx
-	s2.refacts, s2.degen, s2.flips, s2.etaUp = s.refacts, s.degen, s.flips, s.etaUp
-	s2.ftUp, s2.refactsTrig, s2.luFillCarry = s.ftUp, s.refactsTrig, s.luFillSoFar()
-	s2.coldBasis()
-	return s2.run()
+	// Fall back to a cold two-phase primal solve on the same scratch; carry
+	// the telemetry of the abandoned warm attempt so the counters stay
+	// truthful (the iteration budget is intentionally per-attempt, as
+	// before).
+	refacts, degen, flips, etaUp := s.refacts, s.degen, s.flips, s.etaUp
+	ftUp, trig, fill := s.ftUp, s.refactsTrig, s.luFillSoFar()
+	s.release()
+	s = ws.start(p, opt)
+	s.ctx = ctx
+	s.refacts, s.degen, s.flips, s.etaUp = refacts, degen, flips, etaUp
+	s.ftUp, s.refactsTrig, s.luFillCarry = ftUp, trig, fill
+	s.coldBasis()
+	return s.run()
 }
 
 // dualFeasible reports whether the current basis prices out dual feasible.

@@ -9,6 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
+// newSimplex returns a simplex for p on a fresh Workspace, for tests that
+// drive the simplex internals directly.
+func newSimplex(p *Problem, opt Options) *simplex { return new(Workspace).start(p, opt) }
+
 // solveOrDie solves and requires Optimal.
 func solveOrDie(t *testing.T, p *Problem) *Result {
 	t.Helper()

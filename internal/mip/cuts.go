@@ -126,8 +126,12 @@ func separateCover(row knapsackRow, x []float64, tol float64) (cover []int, ok b
 func (s *solver) addRootCuts(root *lp.Result, maxRounds int) (*lp.Result, int, error) {
 	added := 0
 	res := root
+	isInt := make(map[int]bool, len(s.integer))
+	for _, c := range s.integer {
+		isInt[c] = true
+	}
 	for round := 0; round < maxRounds; round++ {
-		rows := knapsackRows(s.p, s.isInt)
+		rows := knapsackRows(s.p, isInt)
 		newCuts := 0
 		for _, row := range rows {
 			cover, ok := separateCover(row, res.X, 1e-4)

@@ -65,7 +65,8 @@ func (s Status) String() string { return solvererr.StatusName(int(s), statusName
 
 // Heuristic turns an LP-relaxation solution into a feasible integer
 // solution. It returns ok=false if it cannot. The solver verifies the
-// candidate against the problem before accepting it.
+// candidate against the problem before accepting it and copies what it
+// keeps. The relaxation slice is valid only during the call.
 type Heuristic func(relaxation []float64) (solution []float64, ok bool)
 
 // Bound is one bound tightening applied on a branch.
@@ -81,7 +82,9 @@ type Bound struct {
 // integer solutions of the node, or the solver loses correctness.
 // Structured problems use this for far stronger divisions than single
 // 0/1 fixings — the time-indexed scheduling model splits a job's start
-// range in half (SOS branching).
+// range in half (SOS branching). The relaxation slice is valid only during
+// the call; the returned change-sets become the children's bounds and
+// must not be modified afterwards.
 type Brancher func(relaxation []float64) [][]Bound
 
 // Options control the search.
@@ -273,11 +276,20 @@ func (r *Result) Gap() float64 {
 }
 
 type node struct {
-	bound   float64 // parent LP objective (lower bound for the subtree)
-	depth   int
-	seq     int
-	changes []Bound   // path from root
-	basis   *lp.Basis // parent basis for warm starting
+	bound float64 // parent LP objective (lower bound for the subtree)
+	depth int
+	seq   int
+	// parent is the node this one branched from (nil at the root) and
+	// changes are that branch's bound changes alone. The node's bounds are
+	// its ancestors' changes applied root first, then its own. Neither
+	// field changes once the node is queued, so parallel workers share the
+	// chains.
+	parent  *node
+	changes []Bound
+	// basis is the parent's optimal basis for the warm start; it is
+	// dropped once the node is solved, so the ancestors a chain keeps
+	// alive do not keep their bases too.
+	basis *lp.Basis
 
 	// Branching bookkeeping for pseudocost learning: the column and
 	// direction this node's last bound change came from, and the
@@ -312,7 +324,6 @@ func (q *nodeQueue) Pop() any {
 type solver struct {
 	p       *lp.Problem
 	integer []int
-	isInt   map[int]bool
 	opt     Options
 
 	incumbent    []float64
@@ -379,20 +390,12 @@ type pcTable struct {
 	stripes [pcStripes]pcStripe
 }
 
+// pcStripe's maps are created by the first record: a search that
+// branches only through a Brancher never fills them.
 type pcStripe struct {
 	mu         sync.Mutex
 	up, down   map[int]float64
 	upN, downN map[int]int
-}
-
-func newPCTable() *pcTable {
-	t := &pcTable{}
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.up, st.down = map[int]float64{}, map[int]float64{}
-		st.upN, st.downN = map[int]int{}, map[int]int{}
-	}
-	return t
 }
 
 func (t *pcTable) stripe(col int) *pcStripe { return &t.stripes[col&(pcStripes-1)] }
@@ -401,6 +404,10 @@ func (t *pcTable) stripe(col int) *pcStripe { return &t.stripes[col&(pcStripes-1
 func (t *pcTable) record(col int, up bool, perUnit float64) {
 	st := t.stripe(col)
 	st.mu.Lock()
+	if st.up == nil {
+		st.up, st.down = map[int]float64{}, map[int]float64{}
+		st.upN, st.downN = map[int]int{}, map[int]int{}
+	}
 	if up {
 		st.up[col] += perUnit
 		st.upN[col]++
@@ -491,15 +498,13 @@ func SolveCtx(ctx context.Context, p *lp.Problem, integer []int, opt Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	isInt := make(map[int]bool, len(integer))
 	for _, c := range integer {
 		if c < 0 || c >= p.NumVariables() {
 			return nil, fmt.Errorf("mip: integer column %d out of range", c)
 		}
-		isInt[c] = true
 	}
-	s := &solver{p: p, integer: integer, isInt: isInt, opt: opt, start: time.Now(),
-		pc: newPCTable()}
+	s := &solver{p: p, integer: integer, opt: opt, start: time.Now(),
+		pc: &pcTable{}}
 	s.ctx, s.lpCtx = ctx, ctx
 	if opt.TimeLimit > 0 {
 		// Soft deadline for the LP relaxations: an expensive node used to
@@ -545,7 +550,7 @@ func SolveCtx(ctx context.Context, p *lp.Problem, integer []int, opt Options) (*
 	span := s.trace.StartSpan("mip.solve", spanFields...)
 	statuses := opt.Metrics.CounterVec("mip.solve.status", "status")
 	if opt.Incumbent != nil {
-		if err := s.tryIncumbent(opt.Incumbent, "initial"); err != nil {
+		if err := s.tryIncumbent(opt.Incumbent, nil, "initial"); err != nil {
 			span.End(obs.Str("status", "error"))
 			statuses.With("error").Inc()
 			return nil, fmt.Errorf("mip: bad initial incumbent: %v", err)
@@ -572,8 +577,9 @@ func SolveCtx(ctx context.Context, p *lp.Problem, integer []int, opt Options) (*
 	return res, nil
 }
 
-// evaluate checks candidate feasibility and returns its objective.
-func (s *solver) evaluate(x []float64) (float64, error) {
+// evaluate checks candidate feasibility and returns its objective. act is
+// the caller's row-activity buffer (see checkRows).
+func (s *solver) evaluate(x, act []float64) (float64, error) {
 	n := s.p.NumVariables()
 	if len(x) != n {
 		return 0, fmt.Errorf("dimension %d, want %d", len(x), n)
@@ -584,22 +590,39 @@ func (s *solver) evaluate(x []float64) (float64, error) {
 		if x[j] < lo-eps || x[j] > hi+eps {
 			return 0, fmt.Errorf("column %d value %g outside [%g,%g]", j, x[j], lo, hi)
 		}
-		if s.isInt[j] && math.Abs(x[j]-math.Round(x[j])) > s.opt.IntTol {
+	}
+	for _, j := range s.integer {
+		if math.Abs(x[j]-math.Round(x[j])) > s.opt.IntTol {
 			return 0, fmt.Errorf("column %d value %g not integral", j, x[j])
 		}
 	}
-	if err := checkRows(s.p, x, eps); err != nil {
+	if err := checkRows(s.p, x, eps, act); err != nil {
 		return 0, err
 	}
-	var obj float64
-	for j := 0; j < n; j++ {
-		obj += s.p.Cost(j) * x[j]
-	}
-	return obj, nil
+	return s.objective(x), nil
 }
 
-func (s *solver) tryIncumbent(x []float64, source string) error {
-	obj, err := s.evaluate(x)
+func (s *solver) objective(x []float64) float64 {
+	var obj float64
+	for j := range x {
+		obj += s.p.Cost(j) * x[j]
+	}
+	return obj
+}
+
+// improves reports whether the heuristic candidate x is feasible and
+// better than the incumbent objective inc, and returns its objective. It
+// prices x before it checks it, because most candidates do not improve.
+func (s *solver) improves(x []float64, inc float64, act []float64) (float64, bool) {
+	if len(x) != s.p.NumVariables() || !(s.objective(x) < inc-1e-9) {
+		return 0, false
+	}
+	obj, err := s.evaluate(x, act)
+	return obj, err == nil
+}
+
+func (s *solver) tryIncumbent(x, act []float64, source string) error {
+	obj, err := s.evaluate(x, act)
 	if err != nil {
 		return err
 	}
@@ -706,21 +729,75 @@ func (s *solver) stopRequested() bool {
 	return s.opt.Stop != nil && s.opt.Stop()
 }
 
-// applyChanges sets node bounds on p and returns an undo function. It is
-// a free function over an explicit problem because the parallel workers
-// apply node paths to their own problem clones, not the shared root.
-func applyChanges(p *lp.Problem, changes []Bound) func() {
-	old := make([]Bound, len(changes))
-	for i, ch := range changes {
-		lo, hi := p.Bounds(ch.Col)
-		old[i] = Bound{Col: ch.Col, Lo: lo, Hi: hi}
-		p.SetBounds(ch.Col, ch.Lo, ch.Hi)
+// nodeSolver solves node relaxations on one problem in reused buffers:
+// the LP workspace, the root-to-leaf path, the bounds the path overwrote
+// and the row activities of candidate checks. The serial search owns one;
+// each parallel worker owns one on its private problem clone.
+type nodeSolver struct {
+	p    *lp.Problem
+	ws   lp.Workspace
+	path []*node
+	undo []Bound
+	act  []float64
+}
+
+// nodeSolvers keeps node solvers, and the buffers they have grown,
+// from one search to the next.
+var nodeSolvers = sync.Pool{New: func() any { return new(nodeSolver) }}
+
+// getNodeSolver returns a pooled node solver for p; putNodeSolver hands
+// it back when the search is done with it.
+func getNodeSolver(p *lp.Problem) *nodeSolver {
+	ns := nodeSolvers.Get().(*nodeSolver)
+	ns.p = p
+	if m := p.NumConstraints(); len(ns.act) < m {
+		ns.act = make([]float64, m)
 	}
-	return func() {
-		for i := len(old) - 1; i >= 0; i-- {
-			p.SetBounds(old[i].Col, old[i].Lo, old[i].Hi)
+	return ns
+}
+
+func putNodeSolver(ns *nodeSolver) {
+	ns.p = nil
+	nodeSolvers.Put(ns)
+}
+
+// solve applies nd's bounds (ancestors' changes root first, then its
+// own), solves the relaxation warm from nd's parent basis and restores
+// the bounds. The Result and its X belong to ns.ws until the next solve;
+// ns.childBasis exports the basis for children.
+func (ns *nodeSolver) solve(ctx context.Context, nd *node, opt lp.Options) (*lp.Result, error) {
+	ns.path = ns.path[:0]
+	for a := nd; a != nil; a = a.parent {
+		ns.path = append(ns.path, a)
+	}
+	ns.undo = ns.undo[:0]
+	for i := len(ns.path) - 1; i >= 0; i-- {
+		for _, ch := range ns.path[i].changes {
+			lo, hi := ns.p.Bounds(ch.Col)
+			ns.undo = append(ns.undo, Bound{Col: ch.Col, Lo: lo, Hi: hi})
+			ns.p.SetBounds(ch.Col, ch.Lo, ch.Hi)
 		}
 	}
+	clear(ns.path) // do not pin solved nodes
+	res, err := ns.ws.SolveFrom(ctx, ns.p, nd.basis, opt)
+	for i := len(ns.undo) - 1; i >= 0; i-- {
+		u := ns.undo[i]
+		ns.p.SetBounds(u.Col, u.Lo, u.Hi)
+	}
+	if err == nil {
+		nd.basis = nil
+	}
+	return res, err
+}
+
+// childBasis is the warm start for the children of a node whose
+// relaxation solved to res: a root cut re-solve owns its Basis, a node
+// solve leaves it in the workspace.
+func (ns *nodeSolver) childBasis(res *lp.Result) *lp.Basis {
+	if res.Basis != nil {
+		return res.Basis
+	}
+	return ns.ws.Basis()
 }
 
 func (s *solver) run() (*Result, error) {
@@ -729,6 +806,8 @@ func (s *solver) run() (*Result, error) {
 	heap.Push(queue, &node{bound: math.Inf(-1), branchCol: -1})
 	seq := 1
 	limited := false
+	ns := getNodeSolver(s.p)
+	defer putNodeSolver(ns)
 	s.sinceCheck = timeCheckEvery // check the deadline on the first iteration
 
 	for queue.Len() > 0 {
@@ -765,9 +844,7 @@ func (s *solver) run() (*Result, error) {
 			s.cPruned.Inc()
 			continue
 		}
-		undo := applyChanges(s.p, nd.changes)
-		res, err := s.p.SolveFromCtx(s.lpCtx, nd.basis, s.opt.LP)
-		undo()
+		res, err := ns.solve(s.lpCtx, nd, s.opt.LP)
 		if err != nil {
 			if errors.Is(err, lp.ErrCanceled) {
 				if s.ctx.Err() != nil {
@@ -814,12 +891,12 @@ func (s *solver) run() (*Result, error) {
 		branchCol := s.fractional(res.X)
 		if branchCol < 0 {
 			// Integral LP solution: new incumbent.
-			if err := s.tryIncumbent(res.X, "lp"); err != nil {
+			if err := s.tryIncumbent(res.X, ns.act, "lp"); err != nil {
 				return nil, fmt.Errorf("mip: integral LP solution rejected: %v", err)
 			}
 			continue
 		}
-		if nd.depth == 0 && len(nd.changes) == 0 && s.opt.RootCutRounds > 0 {
+		if nd.depth == 0 && s.opt.RootCutRounds > 0 {
 			// Cut-and-branch: tighten the root relaxation with cover cuts.
 			tightened, nCuts, err := s.addRootCuts(res, s.opt.RootCutRounds)
 			if err != nil {
@@ -837,7 +914,7 @@ func (s *solver) run() (*Result, error) {
 				}
 				branchCol = s.fractional(res.X)
 				if branchCol < 0 {
-					if err := s.tryIncumbent(res.X, "lp"); err != nil {
+					if err := s.tryIncumbent(res.X, ns.act, "lp"); err != nil {
 						return nil, fmt.Errorf("mip: integral cut solution rejected: %v", err)
 					}
 					continue
@@ -846,7 +923,7 @@ func (s *solver) run() (*Result, error) {
 		}
 		if s.opt.Heuristic != nil {
 			if cand, ok := s.opt.Heuristic(res.X); ok {
-				if obj, err := s.evaluate(cand); err == nil && obj < s.incumbentObj-1e-9 {
+				if obj, ok := s.improves(cand, s.incumbentObj, ns.act); ok {
 					s.heurHit++
 					s.cHeurHits.Inc()
 					s.acceptIncumbent(cand, obj, "heuristic")
@@ -856,52 +933,7 @@ func (s *solver) run() (*Result, error) {
 		if s.gapReached(bound) {
 			continue
 		}
-		// Branch: a custom brancher may divide the node; otherwise
-		// branch on the most fractional column.
-		var children [][]Bound
-		if s.opt.Brancher != nil {
-			children = s.opt.Brancher(res.X)
-		}
-		if len(children) == 0 {
-			if pc := s.pickBranchColumn(res.X); pc >= 0 {
-				branchCol = pc
-			}
-			v := res.X[branchCol]
-			f := v - math.Floor(v)
-			lo, hi := boundsAfter(s.p, nd.changes, branchCol)
-			down := &node{
-				bound: res.Objective, depth: nd.depth + 1, seq: seq,
-				changes: append(append([]Bound(nil), nd.changes...),
-					Bound{Col: branchCol, Lo: lo, Hi: math.Floor(v)}),
-				basis:     res.Basis,
-				branchCol: branchCol, branchUp: false, branchFrac: f,
-			}
-			seq++
-			up := &node{
-				bound: res.Objective, depth: nd.depth + 1, seq: seq,
-				changes: append(append([]Bound(nil), nd.changes...),
-					Bound{Col: branchCol, Lo: math.Ceil(v), Hi: hi}),
-				basis:     res.Basis,
-				branchCol: branchCol, branchUp: true, branchFrac: 1 - f,
-			}
-			seq++
-			// Plunge toward the nearer side first (smaller seq wins ties).
-			if f > 0.5 {
-				down.seq, up.seq = up.seq, down.seq
-			}
-			heap.Push(queue, down)
-			heap.Push(queue, up)
-			continue
-		}
-		for _, ch := range children {
-			heap.Push(queue, &node{
-				bound: res.Objective, depth: nd.depth + 1, seq: seq,
-				changes:   append(append([]Bound(nil), nd.changes...), ch...),
-				basis:     res.Basis,
-				branchCol: -1,
-			})
-			seq++
-		}
+		s.branch(queue, &seq, nd, res, ns.childBasis(res), branchCol)
 	}
 
 	switch {
@@ -925,6 +957,57 @@ func (s *solver) run() (*Result, error) {
 		return s.result(NoSolution), nil
 	default:
 		return s.result(Infeasible), nil
+	}
+}
+
+// branch queues the children of nd, whose relaxation res is fractional
+// in branchCol (the most fractional column); basis warm-starts them. A
+// custom Brancher may divide the node; otherwise it branches on one
+// column, chosen by pseudocost once both directions have history. The
+// serial loop calls it with its own queue and sequence counter, the
+// parallel workers with the shared ones under the pool lock.
+func (s *solver) branch(q *nodeQueue, seq *int, nd *node, res *lp.Result, basis *lp.Basis, branchCol int) {
+	var children [][]Bound
+	if s.opt.Brancher != nil {
+		children = s.opt.Brancher(res.X)
+	}
+	if len(children) == 0 {
+		if pc := s.pickBranchColumn(res.X); pc >= 0 {
+			branchCol = pc
+		}
+		v := res.X[branchCol]
+		f := v - math.Floor(v)
+		lo, hi := boundsAfter(s.p, nd, branchCol)
+		down := &node{
+			bound: res.Objective, depth: nd.depth + 1, seq: *seq, parent: nd,
+			changes:   []Bound{{Col: branchCol, Lo: lo, Hi: math.Floor(v)}},
+			basis:     basis,
+			branchCol: branchCol, branchUp: false, branchFrac: f,
+		}
+		*seq++
+		up := &node{
+			bound: res.Objective, depth: nd.depth + 1, seq: *seq, parent: nd,
+			changes:   []Bound{{Col: branchCol, Lo: math.Ceil(v), Hi: hi}},
+			basis:     basis,
+			branchCol: branchCol, branchUp: true, branchFrac: 1 - f,
+		}
+		*seq++
+		// Plunge toward the nearer side first (smaller seq wins ties).
+		if f > 0.5 {
+			down.seq, up.seq = up.seq, down.seq
+		}
+		heap.Push(q, down)
+		heap.Push(q, up)
+		return
+	}
+	for _, ch := range children {
+		heap.Push(q, &node{
+			bound: res.Objective, depth: nd.depth + 1, seq: *seq, parent: nd,
+			changes:   ch,
+			basis:     basis,
+			branchCol: -1,
+		})
+		*seq++
 	}
 }
 
@@ -990,23 +1073,30 @@ func (s *solver) result(st Status) *Result {
 	return r
 }
 
-// boundsAfter returns the effective bounds of col after the node's
-// changes (the global problem currently holds root bounds).
-func boundsAfter(p *lp.Problem, changes []Bound, col int) (float64, float64) {
-	lo, hi := p.Bounds(col)
-	for _, ch := range changes {
-		if ch.Col == col {
-			lo, hi = ch.Lo, ch.Hi
+// boundsAfter returns the effective bounds of col at node nd: the nearest
+// change to col on the chain, or p's bounds when no change touches it. p
+// must hold the root bounds.
+func boundsAfter(p *lp.Problem, nd *node, col int) (float64, float64) {
+	for a := nd; a != nil; a = a.parent {
+		for i := len(a.changes) - 1; i >= 0; i-- {
+			if ch := a.changes[i]; ch.Col == col {
+				return ch.Lo, ch.Hi
+			}
 		}
 	}
-	return lo, hi
+	return p.Bounds(col)
 }
 
 // checkRows verifies a point against all rows of the problem. It is used
-// to validate externally supplied incumbents.
-func checkRows(p *lp.Problem, x []float64, eps float64) error {
+// to validate incumbent candidates. act is a reused row-activity buffer;
+// one shorter than the row count is replaced by a new one.
+func checkRows(p *lp.Problem, x []float64, eps float64, act []float64) error {
 	m := p.NumConstraints()
-	act := make([]float64, m)
+	if len(act) < m {
+		act = make([]float64, m)
+	}
+	act = act[:m]
+	clear(act)
 	p.AccumulateRows(x, act)
 	for i := 0; i < m; i++ {
 		sen, rhs := p.Row(i)

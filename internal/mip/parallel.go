@@ -15,8 +15,10 @@ import (
 
 // Parallel branch and bound: N workers pull nodes off a shared
 // mutex-guarded best-bound heap, solve each node's LP relaxation on a
-// private clone of the (cut-tightened) root problem, and push children
-// back. Incumbent objectives are mirrored in an atomic word so workers
+// private clone of the (cut-tightened) root problem with their own
+// nodeSolver, and push children back. Nodes are the serial search's:
+// each worker rebuilds a node's bounds from the shared, immutable parent
+// chain. Incumbent objectives are mirrored in an atomic word so workers
 // can prune mid-pipeline without taking the pool lock; all structural
 // state (queue, incumbent vector, logs, telemetry) lives under one
 // mutex, which is cheap because LP solves dominate the per-node cost.
@@ -83,13 +85,14 @@ func (s *solver) runParallel() (*Result, error) {
 
 	var wg sync.WaitGroup
 	for id := 0; id < s.opt.Workers; id++ {
-		wp := s.p.Clone()
+		ns := getNodeSolver(s.p.Clone())
 		wg.Add(1)
 		s.cWorkers.Inc()
-		go func(id int, wp *lp.Problem) {
+		go func(id int, ns *nodeSolver) {
 			defer wg.Done()
-			b.worker(id, wp)
-		}(id, wp)
+			defer putNodeSolver(ns)
+			b.worker(id, ns)
+		}(id, ns)
 	}
 	wg.Wait()
 
@@ -163,7 +166,7 @@ func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
 	}
 	branchCol := s.fractional(res.X)
 	if branchCol < 0 {
-		if err := s.tryIncumbent(res.X, "lp"); err != nil {
+		if err := s.tryIncumbent(res.X, nil, "lp"); err != nil {
 			return true, nil, fmt.Errorf("mip: integral LP solution rejected: %v", err)
 		}
 		b.storeIncBits()
@@ -186,7 +189,7 @@ func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
 			}
 			branchCol = s.fractional(res.X)
 			if branchCol < 0 {
-				if err := s.tryIncumbent(res.X, "lp"); err != nil {
+				if err := s.tryIncumbent(res.X, nil, "lp"); err != nil {
 					return true, nil, fmt.Errorf("mip: integral cut solution rejected: %v", err)
 				}
 				b.storeIncBits()
@@ -196,7 +199,7 @@ func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
 	}
 	if s.opt.Heuristic != nil {
 		if cand, ok := s.opt.Heuristic(res.X); ok {
-			if obj, err := s.evaluate(cand); err == nil && obj < s.incumbentObj-1e-9 {
+			if obj, ok := s.improves(cand, s.incumbentObj, nil); ok {
 				s.heurHit++
 				s.cHeurHits.Inc()
 				s.acceptIncumbent(cand, obj, "heuristic")
@@ -207,58 +210,8 @@ func (s *solver) rootPhase(b *pbb) (done bool, _ *Result, _ error) {
 	if s.gapReached(bound) {
 		return true, s.result(Optimal), nil
 	}
-	s.branch(b, &node{bound: math.Inf(-1), branchCol: -1}, res, branchCol)
+	s.branch(b.queue, &b.seq, &node{bound: math.Inf(-1), branchCol: -1}, res, res.Basis, branchCol)
 	return false, nil, nil
-}
-
-// branch pushes the children of nd (solved to res, most fractional
-// column branchCol) onto the queue. Callers hold b.mu except during the
-// single-threaded root phase.
-func (s *solver) branch(b *pbb, nd *node, res *lp.Result, branchCol int) {
-	var children [][]Bound
-	if s.opt.Brancher != nil {
-		children = s.opt.Brancher(res.X)
-	}
-	if len(children) == 0 {
-		if pc := s.pickBranchColumn(res.X); pc >= 0 {
-			branchCol = pc
-		}
-		v := res.X[branchCol]
-		f := v - math.Floor(v)
-		lo, hi := boundsAfter(s.p, nd.changes, branchCol)
-		down := &node{
-			bound: res.Objective, depth: nd.depth + 1, seq: b.seq,
-			changes: append(append([]Bound(nil), nd.changes...),
-				Bound{Col: branchCol, Lo: lo, Hi: math.Floor(v)}),
-			basis:     res.Basis,
-			branchCol: branchCol, branchUp: false, branchFrac: f,
-		}
-		b.seq++
-		up := &node{
-			bound: res.Objective, depth: nd.depth + 1, seq: b.seq,
-			changes: append(append([]Bound(nil), nd.changes...),
-				Bound{Col: branchCol, Lo: math.Ceil(v), Hi: hi}),
-			basis:     res.Basis,
-			branchCol: branchCol, branchUp: true, branchFrac: 1 - f,
-		}
-		b.seq++
-		// Plunge toward the nearer side first (smaller seq wins ties).
-		if f > 0.5 {
-			down.seq, up.seq = up.seq, down.seq
-		}
-		heap.Push(b.queue, down)
-		heap.Push(b.queue, up)
-		return
-	}
-	for _, ch := range children {
-		heap.Push(b.queue, &node{
-			bound: res.Objective, depth: nd.depth + 1, seq: b.seq,
-			changes:   append(append([]Bound(nil), nd.changes...), ch...),
-			basis:     res.Basis,
-			branchCol: -1,
-		})
-		b.seq++
-	}
 }
 
 // noteDeadline records a TimeLimit stop (caller holds b.mu in parallel
@@ -269,9 +222,9 @@ func (s *solver) noteDeadline() {
 	s.trace.Emit("mip.deadline", obs.Int("node", int64(s.nodes)))
 }
 
-// worker is one branch-and-bound worker loop. wp is its private problem
-// clone; id keys its inFlight entry.
-func (b *pbb) worker(id int, wp *lp.Problem) {
+// worker is one branch-and-bound worker loop. ns solves on the worker's
+// private problem clone; id keys its inFlight entry.
+func (b *pbb) worker(id int, ns *nodeSolver) {
 	s := b.s
 	for {
 		b.mu.Lock()
@@ -330,11 +283,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 		b.outstanding++
 		b.mu.Unlock()
 
-		res, err := func() (*lp.Result, error) {
-			undo := applyChanges(wp, nd.changes)
-			defer undo()
-			return wp.SolveFromCtx(s.lpCtx, nd.basis, s.opt.LP)
-		}()
+		res, err := ns.solve(s.lpCtx, nd, s.opt.LP)
 
 		// Lock-free post-processing: everything that only reads immutable
 		// state (options, integer set, frozen root problem) runs before
@@ -348,7 +297,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 			if s.strengthen(res.Objective) < inc-1e-9 {
 				branchCol = s.fractional(res.X)
 				if branchCol < 0 {
-					intObj, err = s.evaluate(res.X)
+					intObj, err = s.evaluate(res.X, ns.act)
 					if err != nil {
 						err = fmt.Errorf("mip: integral LP solution rejected: %v", err)
 					} else {
@@ -356,7 +305,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 					}
 				} else if s.opt.Heuristic != nil {
 					if cand, ok := s.opt.Heuristic(res.X); ok {
-						if obj, herr := s.evaluate(cand); herr == nil && obj < inc-1e-9 {
+						if obj, ok := s.improves(cand, inc, ns.act); ok {
 							heurCand, heurObj, heurOK = cand, obj, true
 						}
 					}
@@ -435,7 +384,7 @@ func (b *pbb) worker(id int, wp *lp.Problem) {
 			advance()
 			continue
 		}
-		s.branch(b, nd, res, branchCol)
+		s.branch(b.queue, &b.seq, nd, res, ns.childBasis(res), branchCol)
 		advance()
 	}
 }
