@@ -38,7 +38,7 @@ type Config struct {
 	// job's status is fetched back from the target that admitted it, and
 	// the scraped planning totals sum across targets. Point it at
 	// several independent daemons to compare them under one arrival
-	// process; a sharded fabric needs only its router URL (the router
+	// process; a multi-shard daemon needs only its one URL (the router
 	// merges the per-shard series server-side). Duplicate-ID detection
 	// is per-target — independent daemons mint overlapping IDs.
 	Targets []string
@@ -150,7 +150,7 @@ type Result struct {
 	// PlanLatencyByShard breaks PlanLatency down by the shard that
 	// planned each job (keyed "shard-<i>"; multi-target runs prefix the
 	// target index). Empty unless the run spanned more than one group,
-	// so single-core results keep their shape.
+	// so 1-shard results keep their shape.
 	PlanLatencyByShard map[string]Percentiles `json:"plan_latency_by_shard,omitempty"`
 	// Planned (from /v1/metrics) must cover every newly accepted job:
 	// DroppedAccepted = NewlyAccepted - Planned is the service's
@@ -321,7 +321,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.SubmitLatency = percentiles(submitLatMs)
 
 	// Wait until every target has planned every accepted job (totals sum
-	// across targets; a sharded router already serves the merged rollup).
+	// across targets; each daemon's router already serves the merged
+	// rollup).
 	deadline := time.Now().Add(cfg.WaitTimeout)
 	for {
 		res.Planned, res.Steps, res.Replans, res.Batches, res.DegradedSteps = 0, 0, 0, 0, 0
@@ -431,7 +432,7 @@ func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (ma
 	}
 	out := make(map[string]int64, len(ms))
 	for _, m := range ms {
-		// A sharded router serves each family as a shard="all" rollup
+		// The daemon's router serves each family as a shard="all" rollup
 		// plus per-shard series; only the rollup may land in the map, or
 		// the last shard's value would shadow the total.
 		if v, labeled := shardLabel(m.Labels); labeled && v != "all" {

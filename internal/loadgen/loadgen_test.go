@@ -14,14 +14,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/schedd"
+	"repro/internal/shard"
 )
 
-// startService brings up a schedd core behind an httptest server.
-func startService(t *testing.T, cfg schedd.Config) (*httptest.Server, *schedd.Core) {
+// startService brings up a 1-shard router (the daemon's default
+// shape) behind an httptest server; cfg is its one core's
+// configuration.
+func startService(t *testing.T, cfg schedd.Config) *httptest.Server {
 	t.Helper()
-	if cfg.Machine == 0 {
-		cfg.Machine = 64
-	}
 	if cfg.Scheduler == nil {
 		pols := []policy.Policy{policy.FCFS{}, policy.SJF{}, policy.LJF{}}
 		m, err := metrics.ByName("SLDwA")
@@ -39,19 +39,24 @@ func startService(t *testing.T, cfg schedd.Config) (*httptest.Server, *schedd.Co
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	c, err := schedd.New(cfg)
+	r, err := shard.New(shard.Config{
+		Shards:  1,
+		Machine: 64,
+		Metrics: obs.NewRegistry(),
+		Factory: func(int, int) (schedd.Config, error) { return cfg, nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	r.Start()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		c.Stop(ctx)
+		r.Stop(ctx)
 	})
-	srv := httptest.NewServer(schedd.NewHandler(c))
+	srv := httptest.NewServer(shard.NewHandler(r))
 	t.Cleanup(srv.Close)
-	return srv, c
+	return srv
 }
 
 // burstTrace builds n jobs arriving in a burst every burstGap seconds,
@@ -71,7 +76,7 @@ func burstTrace(n, burstSize int, burstGap int64) *job.Trace {
 }
 
 func TestRunReplaysTraceAndMeasures(t *testing.T) {
-	srv, _ := startService(t, schedd.Config{MaxBatch: 64})
+	srv := startService(t, schedd.Config{MaxBatch: 64})
 	res, err := Run(context.Background(), Config{
 		BaseURL: srv.URL,
 		Trace:   burstTrace(40, 8, 60),
@@ -113,7 +118,7 @@ func TestRunBatchingReducesReplans(t *testing.T) {
 		{"off", schedd.Config{MaxBatch: 1}},
 		{"on", schedd.Config{MaxBatch: 64}},
 	} {
-		srv, _ := startService(t, tc.cfg)
+		srv := startService(t, tc.cfg)
 		res, err := Run(context.Background(), Config{
 			BaseURL: srv.URL,
 			Trace:   trace,
@@ -140,7 +145,7 @@ func TestRunSurfacesBackpressure(t *testing.T) {
 	// One token per source and a near-zero refill rate: only the first
 	// submission of each source is admitted, the rest must come back as
 	// 429s, not transport errors.
-	srv, _ := startService(t, schedd.Config{
+	srv := startService(t, schedd.Config{
 		RatePerSource: 0.0001, Burst: 1, MaxBatch: 1,
 	})
 	res, err := Run(context.Background(), Config{

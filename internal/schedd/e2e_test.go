@@ -1,5 +1,6 @@
-// Serving end-to-end test: the full HTTP service under accelerated
-// CTC replay with injected solve faults. This is the body of the CI
+// Serving end-to-end test: the daemon's HTTP service (a 1-shard
+// router, as cmd/schedd runs by default) under accelerated CTC replay
+// with injected solve faults. This is the body of the CI
 // serving-e2e job (run under -race): the service must stay up, degrade
 // gracefully on every failed solve, plan every accepted job, and drain
 // cleanly.
@@ -7,7 +8,6 @@ package schedd_test
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,14 +15,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dynp"
 	"repro/internal/faultinject"
 	"repro/internal/loadgen"
-	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/schedd"
+	"repro/internal/shard"
 	"repro/internal/solvepipe"
 	"repro/internal/workload"
 )
@@ -33,40 +31,37 @@ func TestServingE2EWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pols := []policy.Policy{policy.FCFS{}, policy.SJF{}, policy.LJF{}}
-	m, err := metrics.ByName("SLDwA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := dynp.New(pols, m, dynp.AdvancedDecider{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 20% of solve calls fault (timeouts, panics, infeasibilities); no
 	// retries, so every faulted step must degrade to the basic-policy
 	// schedule and be reported, never kill the service.
 	inj := faultinject.New(faultinject.NewProbability(7, 0.2))
-	core, err := schedd.New(schedd.Config{
-		Machine:      tr.Processors,
-		Scheduler:    sched,
-		Clock:        schedd.NewWallClock(50000),
-		QueueBound:   1024,
-		MaxBatch:     64,
-		ReplanBuffer: 4096, // keep every replan of the run for the assertions below
-		ILP: &schedd.ILPConfig{
-			StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
-				Budget: 500 * time.Millisecond,
-				MIP:    mip.Options{MaxNodes: 50000},
-				Hook:   inj.Hook,
-			}},
-		},
+	r, err := shard.New(shard.Config{
+		Shards:  1,
+		Machine: tr.Processors,
 		Metrics: obs.NewRegistry(),
+		Factory: func(idx, machine int) (schedd.Config, error) {
+			return schedd.Config{
+				Scheduler:    newTestScheduler(t),
+				Clock:        schedd.NewWallClock(50000),
+				QueueBound:   1024,
+				MaxBatch:     64,
+				ReplanBuffer: 4096, // keep every replan of the run for the assertions below
+				ILP: &schedd.ILPConfig{
+					StepConfig: solvepipe.StepConfig{Pipe: solvepipe.Config{
+						Budget: 500 * time.Millisecond,
+						MIP:    mip.Options{MaxNodes: 50000},
+						Hook:   inj.Hook,
+					}},
+				},
+				Metrics: obs.NewRegistry(),
+			}, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Start()
-	srv := httptest.NewServer(schedd.NewHandler(core))
+	r.Start()
+	srv := httptest.NewServer(shard.NewHandler(r))
 	defer srv.Close()
 
 	res, err := loadgen.Run(context.Background(), loadgen.Config{
@@ -102,28 +97,14 @@ func TestServingE2EWithFaults(t *testing.T) {
 
 	// The snapshot API must expose the degradation state and a
 	// non-empty metrics dump must be served.
-	r, err := http.Get(srv.URL + "/v1/schedule")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap schedd.Snapshot
-	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
+	var snap shard.MergedSnapshot
+	getJSON(t, srv.URL+"/v1/schedule", &snap)
 	if snap.Counts.DegradedSteps != res.DegradedSteps {
 		t.Errorf("snapshot reports %d degraded steps, metrics %d",
 			snap.Counts.DegradedSteps, res.DegradedSteps)
 	}
-	rm, err := http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ms []schedd.MetricJSON
-	if err := json.NewDecoder(rm.Body).Decode(&ms); err != nil {
-		t.Fatal(err)
-	}
-	rm.Body.Close()
+	getJSON(t, srv.URL+"/v1/metrics", &ms)
 	if len(ms) == 0 {
 		t.Error("empty /v1/metrics dump")
 	}
@@ -131,17 +112,10 @@ func TestServingE2EWithFaults(t *testing.T) {
 	// Every faulted (degraded) replan must be queryable in the flight
 	// recorder with a reason, and the Prometheus exposition must parse
 	// and carry the degraded outcome as a labeled series.
-	rr, err := http.Get(srv.URL + "/v1/replans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []schedd.ReplanRecord
-	if err := json.NewDecoder(rr.Body).Decode(&recs); err != nil {
-		t.Fatal(err)
-	}
-	rr.Body.Close()
+	var shards []shard.ReplansJSON
+	getJSON(t, srv.URL+"/v1/replans", &shards)
 	degradedRecs := int64(0)
-	for _, rec := range recs {
+	for _, rec := range shards[0].Replans {
 		if rec.Outcome != "degraded" {
 			continue
 		}
@@ -176,7 +150,7 @@ func TestServingE2EWithFaults(t *testing.T) {
 	// accounts for every accepted job.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	final, err := core.Stop(ctx)
+	final, err := r.Stop(ctx)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}

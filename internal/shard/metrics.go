@@ -24,6 +24,7 @@ func (r *Router) MergedMetrics() []obs.Metric {
 	var famOrder []string
 	fams := map[string][]series{}
 	for i, c := range r.cores {
+		c.PlanAge() // refresh the plan-age gauge so scrapes read a live age
 		for _, m := range c.Metrics().Snapshot() {
 			if _, ok := fams[m.Name]; !ok {
 				famOrder = append(famOrder, m.Name)

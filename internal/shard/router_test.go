@@ -20,6 +20,7 @@ func TestPartition(t *testing.T) {
 		{4, 430, 256, []int{256, 58, 58, 58}},
 		{3, 10, 0, []int{4, 3, 3}},
 		{1, 430, 0, []int{430}},
+		{1, 430, 430, []int{430}},
 		{2, 7, 5, []int{5, 2}},
 	}
 	for _, c := range cases {
@@ -41,12 +42,24 @@ func TestPartition(t *testing.T) {
 			t.Errorf("partition of %d sums to %d", c.machine, total)
 		}
 	}
-	// A wide lane that starves the other shards must be rejected.
-	if _, err := New(Config{
-		Shards: 4, Machine: 10, WideLane: 8,
-		Factory: basicFactory(t, schedd.NewManualClock(0), nil),
-	}); err == nil {
-		t.Error("wide lane 8 of 10 with 4 shards: want error, got nil")
+	// A wide lane must fit the machine, leave every other shard a
+	// processor, and on one shard cover the whole machine: a 1-shard
+	// lane of 500 on 430 would overbook, one of 256 would strand 174.
+	for _, c := range []struct{ shards, machine, wide int }{
+		{4, 10, 8},
+		{2, 8, 8},
+		{1, 430, 500},
+		{2, 430, 500},
+		{4, 430, 500},
+		{1, 430, 256},
+		{1, 430, 429},
+	} {
+		if r, err := New(Config{
+			Shards: c.shards, Machine: c.machine, WideLane: c.wide,
+			Factory: basicFactory(t, schedd.NewManualClock(0), nil),
+		}); err == nil {
+			t.Errorf("shards=%d machine=%d wide=%d: machines %v, want error", c.shards, c.machine, c.wide, r.Machines())
+		}
 	}
 	if _, err := New(Config{Shards: 0, Machine: 4, Factory: basicFactory(t, schedd.NewManualClock(0), nil)}); err == nil {
 		t.Error("0 shards: want error")
