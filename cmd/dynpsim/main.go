@@ -44,15 +44,12 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/dynp"
 	"repro/internal/ilpsched"
-	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/mip"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/solvepipe"
-	"repro/internal/swf"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -102,7 +99,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dynpsim: pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	tr, err := loadTrace(*swfPath, *synthetic, *seed, *lenient)
+	tr, err := cliutil.LoadTrace("dynpsim", *swfPath, *synthetic, *seed, *lenient)
 	if err != nil {
 		fail(err)
 	}
@@ -205,29 +202,6 @@ func main() {
 		}
 		f.Close()
 	}
-}
-
-func loadTrace(path string, synthetic int, seed uint64, lenient bool) (*job.Trace, error) {
-	if path == "" {
-		return workload.Generate(workload.CTC(), synthetic, seed)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := swf.ParseWith(f, swf.Options{Lenient: lenient})
-	if err != nil {
-		return nil, err
-	}
-	if res.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "dynpsim: skipped %d unusable records\n", res.Skipped)
-	}
-	if res.Malformed > 0 {
-		fmt.Fprintf(os.Stderr, "dynpsim: dropped %d malformed records (first bad lines: %v)\n",
-			res.Malformed, res.BadLines)
-	}
-	return res.Trace, nil
 }
 
 func fail(err error) {

@@ -22,11 +22,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/job"
+	"repro/internal/cliutil"
 	"repro/internal/stats"
-	"repro/internal/swf"
 	"repro/internal/table"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -47,7 +45,7 @@ func main() {
 		return
 	}
 
-	tr, err := load(*tracePath, *synthetic, *seed)
+	tr, err := cliutil.LoadTrace("traceinfo", *tracePath, *synthetic, *seed, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "traceinfo:", err)
 		os.Exit(1)
@@ -102,25 +100,6 @@ func main() {
 
 	fmt.Printf("\nusers: %d distinct; busiest submitted %d jobs\n", len(users), maxCount(users))
 	fmt.Printf("total estimated area: %d processor-seconds\n", tr.TotalArea())
-}
-
-func load(path string, synthetic int, seed uint64) (*job.Trace, error) {
-	if path == "" {
-		return workload.Generate(workload.CTC(), synthetic, seed)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := swf.Parse(f)
-	if err != nil {
-		return nil, err
-	}
-	if res.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "traceinfo: skipped %d unusable records\n", res.Skipped)
-	}
-	return res.Trace, nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -1,6 +1,7 @@
 // Package cliutil holds the small pieces the command-line binaries
-// share: opening a buffered JSONL event tracer and making sure it is
-// flushed on every exit path, including SIGINT/SIGTERM. Long
+// share: loading a workload trace, opening a buffered JSONL event
+// tracer and making sure it is flushed on every exit path, including
+// SIGINT/SIGTERM. Long
 // simulations and solver runs are exactly the processes users interrupt
 // with ^C, and a killed process with an unflushed bufio writer silently
 // truncates its trace — so each binary routes its cleanup through here
@@ -15,8 +16,38 @@ import (
 	"sync"
 	"syscall"
 
+	"repro/internal/job"
 	"repro/internal/obs"
+	"repro/internal/swf"
+	"repro/internal/workload"
 )
+
+// LoadTrace reads the SWF file at path, or synthesizes a CTC-like
+// workload of synthetic jobs from seed when path is empty. lenient
+// skips corrupt records instead of failing; skipped and dropped record
+// counts are reported on stderr, prefixed with name.
+func LoadTrace(name, path string, synthetic int, seed uint64, lenient bool) (*job.Trace, error) {
+	if path == "" {
+		return workload.Generate(workload.CTC(), synthetic, seed)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	res, err := swf.ParseWith(f, swf.Options{Lenient: lenient})
+	if err != nil {
+		return nil, err
+	}
+	if res.Skipped > 0 {
+		fmt.Fprintf(os.Stderr, "%s: skipped %d unusable records\n", name, res.Skipped)
+	}
+	if res.Malformed > 0 {
+		fmt.Fprintf(os.Stderr, "%s: dropped %d malformed records (first bad lines: %v)\n",
+			name, res.Malformed, res.BadLines)
+	}
+	return res.Trace, nil
+}
 
 // OpenTracer opens path for a buffered JSONL obs.Tracer. The returned
 // flush reports any tracer write error to stderr (prefixed with name),

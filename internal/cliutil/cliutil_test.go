@@ -50,3 +50,25 @@ func TestOpenTracerBadPath(t *testing.T) {
 		t.Error("OpenTracer into a missing directory succeeded")
 	}
 }
+
+func TestLoadTrace(t *testing.T) {
+	tr, err := LoadTrace("test", "", 40, 7, false)
+	if err != nil || len(tr.Jobs) != 40 {
+		t.Fatalf("synthetic trace: %v, %v", tr, err)
+	}
+	path := filepath.Join(t.TempDir(), "t.swf")
+	good := "1 0 10 3600 16 -1 -1 16 7200 -1 1 3 1 -1 -1 -1 -1 -1\n"
+	if err := os.WriteFile(path, []byte(good+"2 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTrace("test", path, 0, 0, false); err == nil {
+		t.Error("strict load accepted a malformed record")
+	}
+	tr, err = LoadTrace("test", path, 0, 0, true)
+	if err != nil || len(tr.Jobs) != 1 {
+		t.Errorf("lenient load: %v jobs, %v; want 1 job", tr, err)
+	}
+	if _, err := LoadTrace("test", filepath.Join(t.TempDir(), "absent.swf"), 0, 0, true); err == nil {
+		t.Error("missing file loaded")
+	}
+}

@@ -106,7 +106,6 @@ func (c *Core) StealQueued(max, target, maxWidth int) []MigratedJob {
 		c.migMu.Unlock()
 		c.pending.Delete(m.ID)
 		c.inflightDone(sub.walSeq)
-		c.accepted.Add(-1)
 		c.trace.Emit("schedd.migrate.out",
 			obs.Int("job", int64(m.ID)),
 			obs.Int("target", int64(target)),

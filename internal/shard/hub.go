@@ -104,11 +104,14 @@ func newHub(n, buffer int, reg *obs.Registry) *Hub {
 }
 
 // sink adapts the hub to one shard's EventSink.
-func (h *Hub) sink(idx int) schedd.EventSink { return &hubSink{h: h, shard: idx} }
+func (h *Hub) sink(idx int) *hubSink { return &hubSink{h: h, shard: idx} }
 
 type hubSink struct {
 	h     *Hub
 	shard int
+	// next, if set, receives every event after the hub: the shard
+	// factory's own sink.
+	next schedd.EventSink
 }
 
 func (s *hubSink) SnapshotPublished(snap *schedd.Snapshot) {
@@ -116,14 +119,23 @@ func (s *hubSink) SnapshotPublished(snap *schedd.Snapshot) {
 		Type: EventPlanVersion, Shard: s.shard,
 		Version: snap.Version, Now: snap.Now, Degraded: snap.Degraded,
 	}, true)
+	if s.next != nil {
+		s.next.SnapshotPublished(snap)
+	}
 }
 
 func (s *hubSink) JobPlanned(st schedd.JobStatus) {
 	s.h.publish(s.h.jobEvent(EventJobPlanned, s.shard, st), false)
+	if s.next != nil {
+		s.next.JobPlanned(st)
+	}
 }
 
 func (s *hubSink) JobCompleted(st schedd.JobStatus) {
 	s.h.publish(s.h.jobEvent(EventJobCompleted, s.shard, st), false)
+	if s.next != nil {
+		s.next.JobCompleted(st)
+	}
 }
 
 func (s *hubSink) PlanImproved(pi schedd.PlanImprovement) {
@@ -132,6 +144,9 @@ func (s *hubSink) PlanImproved(pi schedd.PlanImprovement) {
 		Version: pi.Version, Now: pi.Now,
 		Improvement: &pi,
 	}, false)
+	if s.next != nil {
+		s.next.PlanImproved(pi)
+	}
 }
 
 func (h *Hub) jobEvent(typ string, shard int, st schedd.JobStatus) Event {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -272,5 +273,68 @@ func TestSSEEndpoint(t *testing.T) {
 	}
 	if !shardsSeen[0] || !shardsSeen[1] {
 		t.Errorf("primers covered shards %v, want both", shardsSeen)
+	}
+}
+
+// recordingSink keeps the snapshot versions and planned job IDs a
+// factory-supplied sink receives.
+type recordingSink struct {
+	mu       sync.Mutex
+	versions []int64
+	planned  []int
+}
+
+func (s *recordingSink) SnapshotPublished(snap *schedd.Snapshot) {
+	s.mu.Lock()
+	s.versions = append(s.versions, snap.Version)
+	s.mu.Unlock()
+}
+func (s *recordingSink) JobPlanned(st schedd.JobStatus) {
+	s.mu.Lock()
+	s.planned = append(s.planned, st.ID)
+	s.mu.Unlock()
+}
+func (s *recordingSink) JobCompleted(schedd.JobStatus)       {}
+func (s *recordingSink) PlanImproved(schedd.PlanImprovement) {}
+
+// TestFactorySinkSeesEveryEvent: the router puts the hub in front of a
+// factory's own event sink instead of replacing it, so the factory's
+// sink still sees every published snapshot, in version order.
+func TestFactorySinkSeesEveryEvent(t *testing.T) {
+	rec := &recordingSink{}
+	r := newTestRouter(t, Config{
+		Shards: 1, Machine: 8,
+		Factory: basicFactory(t, schedd.NewManualClock(0), func(_ int, cfg *schedd.Config) { cfg.Events = rec }),
+	})
+	sub := r.Hub().Subscribe(map[string]bool{EventJobPlanned: true})
+	defer sub.Close()
+	r.Start()
+	resp := mustSubmit(t, r, schedd.SubmitRequest{Width: 2, Estimate: 10})
+	waitState(t, r, resp.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := r.Stop(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.versions) == 0 {
+		t.Fatal("factory sink saw no snapshots")
+	}
+	for i, v := range rec.versions {
+		if i > 0 && v != rec.versions[i-1]+1 {
+			t.Fatalf("factory sink versions %v are not contiguous", rec.versions)
+		}
+	}
+	if last := rec.versions[len(rec.versions)-1]; last != final.PerShard[0].Version {
+		t.Errorf("factory sink's last version %d, final snapshot version %d", last, final.PerShard[0].Version)
+	}
+	if len(rec.planned) != 1 || rec.planned[0] != resp.ID {
+		t.Errorf("factory sink planned %v, want [%d]", rec.planned, resp.ID)
+	}
+	if evs := drainEvents(sub, 50*time.Millisecond, time.Second); len(evs) != 1 || evs[0].Job == nil || evs[0].Job.ID != resp.ID {
+		t.Errorf("hub delivered %+v, want one job-planned event for job %d", evs, resp.ID)
 	}
 }

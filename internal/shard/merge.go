@@ -127,13 +127,7 @@ func (r *Router) merge(snaps []*schedd.Snapshot, depths []int) *MergedSnapshot {
 		v.Degraded = s.Degraded
 		v.Counts = s.Counts
 		v.PendingMigrations = len(r.cores[i].PendingMigrations())
-		for _, st := range s.Active {
-			if st.State == schedd.StateRunning {
-				v.Running++
-			} else {
-				v.Waiting++
-			}
-		}
+		v.Waiting, v.Running = activeCounts(s)
 		m.PerShard[i] = v
 		if s.Now > m.Now {
 			m.Now = s.Now
@@ -153,6 +147,33 @@ func (r *Router) merge(snaps []*schedd.Snapshot, depths []int) *MergedSnapshot {
 		return m.Schedule[i].JobID < m.Schedule[k].JobID
 	})
 	return m
+}
+
+// ActiveJobs lists the jobs the shards' latest snapshots hold (waiting
+// or running) with global IDs, sorted by ID. After Stop it is the
+// drained fabric's unfinished work.
+func (r *Router) ActiveJobs() []schedd.JobStatus {
+	jobs := []schedd.JobStatus{}
+	for i, c := range r.cores {
+		for local, st := range c.Snapshot().Active {
+			st.ID = r.global(i, local)
+			st.Shard = i
+			jobs = append(jobs, st)
+		}
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	return jobs
+}
+
+// activeCounts splits a snapshot's active jobs into waiting and
+// running.
+func activeCounts(s *schedd.Snapshot) (waiting, running int) {
+	for _, st := range s.Active {
+		if st.State == schedd.StateRunning {
+			running++
+		}
+	}
+	return len(s.Active) - running, running
 }
 
 func addCounts(dst *schedd.Counters, s schedd.Counters) {

@@ -67,6 +67,23 @@ func TestGatherMerge(t *testing.T) {
 			t.Errorf("shard %d view submitted=%d, want %d", i, v.Counts.Submitted, perShard[i])
 		}
 	}
+	// Nothing completes on the stopped clock, so ActiveJobs lists all
+	// five jobs once, sorted by global ID, each with its owning shard.
+	jobs := r.ActiveJobs()
+	if len(jobs) != 5 {
+		t.Fatalf("ActiveJobs returned %d jobs, want 5", len(jobs))
+	}
+	for k, st := range jobs {
+		if k > 0 && st.ID <= jobs[k-1].ID {
+			t.Errorf("ActiveJobs out of ID order at job %d", st.ID)
+		}
+		if idx, _, ok := r.locate(st.ID); !ok || idx != st.Shard {
+			t.Errorf("job %d reports shard %d, its global ID says %d", st.ID, st.Shard, idx)
+		}
+		if got, ok := r.Job(st.ID); !ok || got.ID != st.ID {
+			t.Errorf("job %d does not resolve to itself: %+v", st.ID, got)
+		}
+	}
 }
 
 // TestGatherPartialOnStalledShard: a shard whose snapshot fetch hangs
