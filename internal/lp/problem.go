@@ -13,6 +13,30 @@
 // Internally every row gains a slack column so the system becomes
 // A x = b with bounds on all columns; the simplex operates on that
 // computational form.
+//
+// The dual simplex re-solves a problem warm from an optimal basis after
+// bound changes, the branch-and-bound node LP. Each iteration:
+//
+//   - picks the most infeasible basic row r and computes its pivot row
+//     α = ρᵀA, ρ = e_rᵀB⁻¹, row-wise: only ρ's nonzero rows are read,
+//     from a row-major copy of A that the Problem builds when it
+//     coalesces (or on Freeze) and drops on any coefficient edit, so
+//     clones and parallel workers share it read-only;
+//   - runs the bound-flipping (long-step) ratio test: the breakpoints
+//     are taken in order of dual step, ties going to the larger |α|, and
+//     each boxed column is passed while the slope (the row's remaining
+//     infeasibility) stays positive, the passed columns move to their
+//     other bounds with one FTRAN of their summed columns, and the
+//     column at the stopping breakpoint enters; a row still infeasible
+//     after every flip proves the problem infeasible;
+//   - updates the reduced costs along the pivot row (d_j −= θ·α_j,
+//     d_leaving = −θ) instead of recomputing the duals, and reprices
+//     them from scratch after every refactorization.
+//
+// A solve is a pure function of the problem, the starting basis and the
+// options: every buffer it uses belongs to its Workspace and is reset or
+// fully overwritten before it is read, so a Workspace that served other
+// problems gives the same pivots as a fresh one.
 package lp
 
 import (
@@ -50,6 +74,12 @@ type nz struct {
 	val float64
 }
 
+// rowNZ is one entry of the row-major copy of the coefficient matrix.
+type rowNZ struct {
+	col int
+	val float64
+}
+
 // Problem is a mutable LP instance. Columns and rows may be added in any
 // order; coefficients reference both by index.
 type Problem struct {
@@ -65,6 +95,14 @@ type Problem struct {
 	// dirty marks columns as possibly containing unsorted or duplicate
 	// entries; coalesce() clears it.
 	dirty bool
+
+	// rowStart and rowEnts are the row-major copy of the coefficients:
+	// row i's entries are rowEnts[rowStart[i]:rowStart[i+1]], by
+	// ascending column. The dual simplex computes its pivot row from
+	// them. coalesce() builds the copy and any coefficient edit or new
+	// row drops it; it is never written in place, so clones share it.
+	rowStart []int
+	rowEnts  []rowNZ
 
 	// arena is a single backing store for column entries, carved into
 	// per-column slices by ReserveColumn so that bulk model builds (the
@@ -92,6 +130,7 @@ func (p *Problem) AddVariable(lo, hi, cost float64, name string) int {
 func (p *Problem) AddConstraint(s Sense, rhs float64) int {
 	p.sense = append(p.sense, s)
 	p.rhs = append(p.rhs, rhs)
+	p.rowStart, p.rowEnts = nil, nil
 	return len(p.rhs) - 1
 }
 
@@ -109,6 +148,7 @@ func (p *Problem) SetCoeff(row, col int, v float64) {
 	}
 	p.cols[col] = append(p.cols[col], nz{row: row, val: v})
 	p.dirty = true
+	p.rowStart, p.rowEnts = nil, nil
 }
 
 // SetBounds replaces the bounds of column col (used by branch and bound).
@@ -225,20 +265,29 @@ func (p *Problem) ReserveColumn(col, n int) {
 	p.arenaOff += n
 }
 
-// Freeze coalesces any pending coefficient edits now, leaving the problem
-// safe for concurrent read-only use (the parallel branch-and-bound
-// evaluates candidates against the shared root problem while workers
-// solve on clones; without Freeze the first concurrent reader would race
+// Freeze coalesces any pending coefficient edits and builds the
+// row-major copy now, leaving the problem safe for concurrent read-only
+// use (the parallel branch-and-bound evaluates candidates against the
+// shared root problem while workers solve on clones that share its
+// row-major copy; without Freeze the first concurrent reader would race
 // on the lazy coalesce).
 func (p *Problem) Freeze() { p.coalesce() }
 
-// coalesce sorts each column by row and merges duplicate entries. It is
-// a no-op when nothing changed since the last call.
+// coalesce sorts each column by row, merges duplicate entries and builds
+// the row-major copy. It is a no-op when nothing changed since the last
+// call.
 func (p *Problem) coalesce() {
-	if !p.dirty {
-		return
+	if p.dirty {
+		p.dirty = false
+		p.mergeColumns()
 	}
-	p.dirty = false
+	if p.rowStart == nil {
+		p.buildRows()
+	}
+}
+
+// mergeColumns sorts each column by row and merges duplicate entries.
+func (p *Problem) mergeColumns() {
 	for j, col := range p.cols {
 		if len(col) < 2 {
 			continue
@@ -263,6 +312,33 @@ func (p *Problem) coalesce() {
 	}
 }
 
+// buildRows builds the row-major copy from the coalesced columns into
+// fresh arrays, so clones holding the previous copy keep it intact.
+func (p *Problem) buildRows() {
+	m := len(p.rhs)
+	start := make([]int, m+1)
+	for _, col := range p.cols {
+		for _, e := range col {
+			start[e.row+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		start[i+1] += start[i]
+	}
+	ents := make([]rowNZ, start[m])
+	// Fill with start[i] as row i's cursor, which leaves start[i] at row
+	// i+1's offset; shifting restores the offsets.
+	for j, col := range p.cols {
+		for _, e := range col {
+			ents[start[e.row]] = rowNZ{col: j, val: e.val}
+			start[e.row]++
+		}
+	}
+	copy(start[1:], start[:m])
+	start[0] = 0
+	p.rowStart, p.rowEnts = start, ents
+}
+
 // Clone returns an independent copy of the problem.
 func (p *Problem) Clone() *Problem {
 	cp := &Problem{
@@ -278,5 +354,6 @@ func (p *Problem) Clone() *Problem {
 		cp.cols[j] = append([]nz(nil), c...)
 	}
 	cp.dirty = p.dirty
+	cp.rowStart, cp.rowEnts = p.rowStart, p.rowEnts
 	return cp
 }

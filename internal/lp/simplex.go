@@ -173,10 +173,18 @@ type scratch struct {
 	art                      []nz // one {row, ±1} entry per artificial, indexed by row
 	basis                    []int
 	binv, xB                 []float64
-	y, w, rho, tmp           []float64
+	y, w, rho, tmp, wf, d    []float64
 	artRow                   []int
 	artSign                  []float64
 	movable                  []int // see movableCols
+
+	// The dual simplex's pivot row (see pivotRow): alpha holds ρᵀA_j for
+	// the columns listed in touched, which seen marks; both are all-zero
+	// between iterations. cands holds the ratio test's breakpoints.
+	alpha   []float64
+	seen    []bool
+	touched []int
+	cands   []breakpoint
 
 	// factorize() temporaries.
 	posOfRow, structPos, rv, rvIdx []int
@@ -283,6 +291,9 @@ type simplex struct {
 	// Pivot-loop work arrays (duals, ftran result, dual row), plus the
 	// computeXB temporary; all scratch-backed.
 	y, w, rho, tmp []float64
+	// wf is the dual simplex's FTRAN of its bound flips, and d the
+	// reduced costs it keeps across iterations (see price).
+	wf, d []float64
 
 	iters       int
 	refacts     int
@@ -393,6 +404,8 @@ func (ws *Workspace) start(p *Problem, opt Options) *simplex {
 	s.w = growF(sc.w, m)
 	s.rho = growF(sc.rho, m)
 	s.tmp = growF(sc.tmp, m)
+	s.wf = growF(sc.wf, m)
+	s.d = growF(sc.d, nc)
 	s.artRow = sc.artRow[:0]
 	s.artSign = sc.artSign[:0]
 	return s
@@ -416,7 +429,7 @@ func (s *simplex) release() {
 		sc.acols[j] = nil // do not pin released problems' column storage
 	}
 	sc.basis, sc.binv, sc.xB = s.basis, s.binv, s.xB
-	sc.y, sc.w, sc.rho, sc.tmp = s.y, s.w, s.rho, s.tmp
+	sc.y, sc.w, sc.rho, sc.tmp, sc.wf, sc.d = s.y, s.w, s.rho, s.tmp, s.wf, s.d
 	sc.artRow, sc.artSign = s.artRow, s.artSign
 }
 
@@ -697,7 +710,6 @@ func invertDense(a, inv []float64, k int) bool {
 
 // computeXB recomputes the basic values from scratch.
 func (s *simplex) computeXB() {
-	m := s.m
 	t := s.tmp
 	copy(t, s.p.rhs)
 	for j := 0; j < s.ncols(); j++ {
@@ -712,17 +724,23 @@ func (s *simplex) computeXB() {
 			t[e.row] -= e.val * xv
 		}
 	}
+	s.ftranVec(t, s.xB)
+}
+
+// ftranVec solves B·w = t for a dense row-space right-hand side t.
+func (s *simplex) ftranVec(t, w []float64) {
 	if !s.dense {
-		s.lu.ftranDense(t, s.xB)
+		s.lu.ftranDense(t, w)
 		return
 	}
+	m := s.m
 	for i := 0; i < m; i++ {
 		var sum float64
 		row := s.binv[i*m : i*m+m]
 		for r := 0; r < m; r++ {
 			sum += row[r] * t[r]
 		}
-		s.xB[i] = sum
+		w[i] = sum
 	}
 }
 
@@ -961,14 +979,20 @@ func (s *simplex) pivotSparse(r, j int) {
 	}
 }
 
-// movableCols lists, in column order, the columns whose bounds do not fix
-// them: the only ones pricing can pick. Bounds stay put within one
-// primal() or dual() run, so each builds the list once instead of
-// testing every column on every iteration.
+// movable reports whether column j's bounds leave it room to move: only
+// such a column can enter the basis.
+func (s *simplex) movable(j int) bool {
+	return s.hi[j]-s.lo[j] > 0 || s.stat[j] == freeNB
+}
+
+// movableCols lists, in column order, the movable columns: the only ones
+// pricing can pick. Bounds stay put within one primal() run, so it
+// builds the list once instead of testing every column on every
+// iteration.
 func (s *simplex) movableCols() []int {
 	movable := s.sc.movable[:0]
 	for j := 0; j < s.ncols(); j++ {
-		if s.hi[j]-s.lo[j] > 0 || s.stat[j] == freeNB {
+		if s.movable(j) {
 			movable = append(movable, j)
 		}
 	}
@@ -1131,25 +1155,109 @@ func (s *simplex) infeasibility() (sum, worst float64, row int) {
 	return sum, worst, row
 }
 
+// breakpoint is one candidate of the dual ratio test: column j's reduced
+// cost reaches zero at dual step t, and a = |α_j| is the rate at which
+// passing it (flipping j to its other bound) shrinks the leaving row's
+// infeasibility per unit of j's range.
+type breakpoint struct {
+	j    int
+	t, a float64
+}
+
+// before orders breakpoints by dual step, ties going to the larger |α|
+// (the stabler pivot) and then to the lower column index, so the order is
+// total and the choice never depends on where a candidate was collected.
+func (x breakpoint) before(y breakpoint) bool {
+	if x.t != y.t {
+		return x.t < y.t
+	}
+	if x.a != y.a {
+		return x.a > y.a
+	}
+	return x.j < y.j
+}
+
+// price recomputes the reduced costs from fresh duals: d_j = c_j − yᵀA_j
+// on the nonbasic columns that can move. Basic and fixed columns get
+// zero; no ratio test reads them.
+func (s *simplex) price() {
+	s.duals(s.y)
+	for j := 0; j < s.ncols(); j++ {
+		if s.stat[j] == isBasic || !s.movable(j) {
+			s.d[j] = 0
+			continue
+		}
+		s.d[j] = s.reduced(j, s.y)
+	}
+}
+
+// pivotRow computes the pivot row α_j = ρᵀA_j row-wise: only ρ's nonzero
+// rows are read, from the problem's row-major copy, and the columns they
+// meet are returned. The dual runs before any artificial column exists,
+// so slack n+i is the only other column on row i. Rows are visited in
+// ascending order, the order a column-wise dot product would sum in.
+func (s *simplex) pivotRow(rho []float64) []int {
+	sc, p := s.sc, s.p
+	touched := sc.touched[:0]
+	for i, ri := range rho {
+		if ri == 0 {
+			continue
+		}
+		for _, e := range p.rowEnts[p.rowStart[i]:p.rowStart[i+1]] {
+			if !sc.seen[e.col] {
+				sc.seen[e.col] = true
+				touched = append(touched, e.col)
+			}
+			sc.alpha[e.col] += ri * e.val
+		}
+		sl := s.n + i
+		sc.seen[sl] = true
+		sc.alpha[sl] = ri
+		touched = append(touched, sl)
+	}
+	sc.touched = touched
+	return touched
+}
+
+// clearPivotRow returns alpha and seen to all-zero.
+func (s *simplex) clearPivotRow(touched []int) {
+	for _, j := range touched {
+		s.sc.alpha[j] = 0
+		s.sc.seen[j] = false
+	}
+}
+
 // dual runs dual simplex iterations until primal feasibility (returning
 // Optimal if dual feasibility was maintained), infeasibility, or the
-// iteration limit. When the entering variable's required step exceeds its
-// own bound range, a bound flip is performed instead of a pivot (the
-// bound-flipping ratio test for boxed variables). A stall guard bails out
-// with IterationLimit when the total infeasibility stops decreasing, so
-// the caller can fall back to the two-phase primal.
+// iteration limit. A stall guard bails out with IterationLimit when the
+// total infeasibility stops decreasing, so the caller can fall back to
+// the two-phase primal.
 //
-// On entry s.y must hold the duals of the current basis, as dualFeasible
-// leaves them. They are recomputed only after the basis or its
-// factorization changes: a bound flip leaves both alone.
+// Each iteration picks the most infeasible basic row r, computes its
+// pivot row α = ρᵀA with ρ = e_rᵀB⁻¹ (pivotRow) and runs the
+// bound-flipping ratio test: the breakpoints are passed in order while
+// the dual objective's slope, the row's remaining infeasibility, stays
+// positive; every passed boxed column moves to its other bound, all of
+// them with one FTRAN of their summed columns, and the column at the
+// stopping breakpoint enters. When every breakpoint is passed and the row
+// is still infeasible, the LP is.
+//
+// On entry s.d must hold the reduced costs of the current basis, as
+// dualFeasible leaves them. Each pivot updates them along the pivot row
+// (d_j −= θ·α_j, d_leaving = −θ); every refactorization reprices them
+// from scratch.
 func (s *simplex) dual() Status {
 	m := s.m
-	y, rho, w := s.y, s.rho, s.w
+	rho, w, wf, t := s.rho, s.w, s.wf, s.tmp
+	sc := s.sc
 	tol := s.opt.Tol
 	stall := 0
 	lastInf := math.Inf(1)
-	yFresh := true
-	movable := s.movableCols()
+	nc := s.ncols()
+	sc.alpha = growF(sc.alpha, nc)
+	sc.seen = growBool(sc.seen, nc) // cleared
+	clear(sc.alpha)
+	alpha := sc.alpha
 	for {
 		if s.iters >= s.opt.MaxIters {
 			return IterationLimit
@@ -1172,82 +1280,93 @@ func (s *simplex) dual() Status {
 		}
 		bj := s.basis[r]
 		toLower := s.xB[r] < s.lo[bj]
-		var bound float64
+		bound := s.hi[bj]
 		if toLower {
 			bound = s.lo[bj]
-		} else {
-			bound = s.hi[bj]
 		}
 		s.basisRow(r, rho)
-		if !yFresh {
-			s.duals(y)
-			yFresh = true
-		}
-
-		// Dual ratio test. The pivot-row entry alpha decides eligibility,
-		// so the reduced cost d is priced only for the candidates that
-		// pass (a minority of the nonbasic columns).
-		enter := -1
-		bestRatio := math.Inf(1)
-		var bestAlpha float64
-		for _, j := range movable {
+		touched := s.pivotRow(rho)
+		cands := sc.cands[:0]
+		for _, j := range touched {
 			st := s.stat[j]
-			if st == isBasic {
+			if st == isBasic || !s.movable(j) {
 				continue
 			}
-			var alpha float64
-			for _, e := range s.acols[j] {
-				alpha += rho[e.row] * e.val
-			}
-			if math.Abs(alpha) < 1e-9 {
+			a := alpha[j]
+			if math.Abs(a) < 1e-9 {
 				continue
 			}
-			// Eligibility: the entering variable must move in a direction
-			// that brings xB[r] back to its violated bound.
-			// xB[r] changes by -alpha * delta; delta = (xB[r]-bound)/alpha.
-			delta := (s.xB[r] - bound) / alpha
+			// x_j moving by Δ moves xB[r] by −α_j·Δ. The eligible
+			// columns move xB[r] toward its violated bound: up when α_j
+			// has the sign of xB[r] − bound.
+			up := (a > 0) != toLower
+			var dj float64 // ≥ 0 while j is dual feasible
 			switch st {
 			case atLower:
-				if delta < 0 {
+				if !up {
 					continue
 				}
+				dj = s.d[j]
 			case atUpper:
-				if delta > 0 {
+				if up {
 					continue
 				}
+				dj = -s.d[j]
+			default: // freeNB moves either way
+				dj = math.Abs(s.d[j])
 			}
-			ratio := math.Abs(s.reduced(j, y)) / math.Abs(alpha)
-			if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 &&
-				(enter < 0 || math.Abs(alpha) > math.Abs(bestAlpha))) {
-				bestRatio, enter, bestAlpha = ratio, j, alpha
-			}
+			cands = append(cands, breakpoint{j: j, t: max(dj, 0) / math.Abs(a), a: math.Abs(a)})
 		}
-		if enter < 0 {
-			return Infeasible
-		}
-		delta := (s.xB[r] - bound) / bestAlpha
-		sigma := 1.0
-		if delta < 0 {
-			sigma = -1
-		}
-		t := math.Abs(delta)
-		// Bound-flipping: if restoring xB[r] needs a step beyond the
-		// entering column's own range, move that column to its other
-		// bound (no basis change) — the violation shrinks and the next
-		// iteration picks another entering candidate.
-		if rng := s.hi[enter] - s.lo[enter]; !math.IsInf(rng, 1) && t > rng+1e-12 &&
-			s.stat[enter] != freeNB {
-			s.flips++
-			s.ftran(enter, w)
-			for i := 0; i < m; i++ {
-				s.xB[i] -= sigma * w[i] * rng
+		sc.cands = cands
+
+		// Pass breakpoints in order (a partial selection sort: most
+		// iterations stop at the first or second) while the slope stays
+		// positive.
+		slope := math.Abs(s.xB[r] - bound)
+		k := 0
+		for ; k < len(cands); k++ {
+			best := k
+			for i := k + 1; i < len(cands); i++ {
+				if cands[i].before(cands[best]) {
+					best = i
+				}
 			}
-			if s.stat[enter] == atLower {
-				s.stat[enter] = atUpper
-			} else {
-				s.stat[enter] = atLower
+			cands[k], cands[best] = cands[best], cands[k]
+			c := cands[k]
+			rng := s.hi[c.j] - s.lo[c.j]
+			if s.stat[c.j] == freeNB || math.IsInf(rng, 1) {
+				break // a column without a far bound cannot be passed
 			}
-			continue
+			next := slope - c.a*rng
+			if next <= 0 {
+				break
+			}
+			slope = next
+		}
+		if k == len(cands) {
+			if k == 0 || slope > tol {
+				s.clearPivotRow(touched)
+				return Infeasible // every flip leaves row r infeasible
+			}
+			k-- // feasible within tolerance: the last breakpoint enters
+		}
+		enter := cands[k].j
+		passed := cands[:k]
+
+		// The flips' summed column, FTRAN'd before the entering column so
+		// that the entering column's spike stays cached for the update.
+		if len(passed) > 0 {
+			clear(t)
+			for _, c := range passed {
+				step := s.hi[c.j] - s.lo[c.j]
+				if s.stat[c.j] == atUpper {
+					step = -step
+				}
+				for _, e := range s.acols[c.j] {
+					t[e.row] += e.val * step
+				}
+			}
+			s.ftranVec(t, wf)
 		}
 		s.ftran(enter, w)
 		if dualBreakdownHook != nil {
@@ -1255,20 +1374,57 @@ func (s *simplex) dual() Status {
 		}
 		if math.Abs(w[r]) < 1e-10 {
 			// Numerical breakdown: refactorize and retry once.
+			s.clearPivotRow(touched)
 			if !s.factorize() {
 				return IterationLimit
 			}
-			yFresh = false
+			s.price()
 			continue
+		}
+		if len(passed) > 0 {
+			for i := 0; i < m; i++ {
+				s.xB[i] -= wf[i]
+			}
+			for _, c := range passed {
+				if s.stat[c.j] == atLower {
+					s.stat[c.j] = atUpper
+				} else {
+					s.stat[c.j] = atLower
+				}
+			}
+			s.flips += len(passed)
+		}
+
+		// The dual step θ moves d_j by −θ·α_j and leaves d_enter at zero;
+		// its sign keeps the leaving column's d = −θ dual feasible on the
+		// bound it leaves at.
+		theta := cands[k].t
+		if toLower {
+			theta = -theta
+		}
+		for _, j := range touched {
+			if s.stat[j] != isBasic {
+				s.d[j] -= theta * alpha[j]
+			}
+		}
+		s.d[enter], s.d[bj] = 0, -theta
+		delta := (s.xB[r] - bound) / alpha[enter]
+		s.clearPivotRow(touched)
+		sigma := 1.0
+		if delta < 0 {
+			sigma = -1
 		}
 		leavingStat := atUpper
 		if toLower {
 			leavingStat = atLower
 		}
-		s.pivot(r, enter, w, t, sigma, leavingStat)
-		yFresh = false
+		refacts := s.refacts
+		s.pivot(r, enter, w, math.Abs(delta), sigma, leavingStat)
 		if s.broken {
 			return IterationLimit
+		}
+		if s.refacts != refacts {
+			s.price()
 		}
 	}
 }
@@ -1554,17 +1710,18 @@ func (ws *Workspace) solve(ctx context.Context, p *Problem, basis *Basis, opt Op
 	return s.run()
 }
 
-// dualFeasible reports whether the current basis prices out dual feasible.
+// dualFeasible reports whether the current basis prices out dual
+// feasible. It prices every column, which seeds the reduced costs the
+// dual simplex keeps.
 func (s *simplex) dualFeasible() bool {
-	y := s.y
-	s.duals(y)
+	s.price()
 	tol := s.opt.Tol * 10
 	for j := 0; j < s.ncols(); j++ {
 		st := s.stat[j]
 		if st == isBasic || s.hi[j]-s.lo[j] <= 0 {
 			continue
 		}
-		d := s.reduced(j, y)
+		d := s.d[j]
 		switch st {
 		case atLower:
 			if d < -tol {
