@@ -149,7 +149,8 @@ const (
 // a test-only injection point: the breakdown branch guards against a
 // pivot element that the (refactorized) solve disagrees with, a state
 // that cannot be constructed organically because the pricing row and the
-// FTRAN use the same factorization arithmetic.
+// FTRAN use the same factorization arithmetic. The kernel tests also
+// use it to check the kept reduced costs at every dual iteration.
 var dualBreakdownHook func(s *simplex, w []float64, r int)
 
 // factorCoef is one structural basic coefficient bucketed by covered row
